@@ -43,6 +43,9 @@ bool getU64(const JsonValue &V, const char *Name, std::uint64_t &Out,
   return true;
 }
 
+/// Fields certToJson writes per certificate node.
+constexpr std::size_t CertFields = 14;
+
 } // namespace
 
 JsonValue cert::certToJson(const RefinementCertificate &C) {
@@ -113,15 +116,37 @@ CertPtr cert::certFromJson(const JsonValue &V, std::string &Error) {
     }
     C->Notes.push_back(N.StrVal);
   }
+  // Every field certToJson writes was read above; anything more is a
+  // field it never writes.
+  if (V.Fields.size() != CertFields) {
+    Error = "unexpected field in certificate";
+    return nullptr;
+  }
   return C;
 }
 
-JsonValue cert::eventToJson(const Event &E) {
-  std::vector<JsonValue> Args;
+namespace {
+
+/// Writes \p E's triple into \p V in place, each array allocated once at
+/// its final size.
+void fillEvent(JsonValue &V, const Event &E) {
+  V.K = JsonValue::Kind::Array;
+  V.Items.resize(3);
+  V.Items[0] = jsonUInt(E.Tid);
+  V.Items[1] = jsonStr(E.Kind.str());
+  JsonValue &Args = V.Items[2];
+  Args.K = JsonValue::Kind::Array;
+  Args.Items.reserve(E.Args.size());
   for (std::int64_t A : E.Args)
-    Args.push_back(jsonInt(A));
-  return jsonArray(
-      {jsonUInt(E.Tid), jsonStr(E.Kind.str()), jsonArray(std::move(Args))});
+    Args.Items.push_back(jsonInt(A));
+}
+
+} // namespace
+
+JsonValue cert::eventToJson(const Event &E) {
+  JsonValue V;
+  fillEvent(V, E);
+  return V;
 }
 
 bool cert::eventFromJson(const JsonValue &V, Event &Out) {
@@ -134,6 +159,7 @@ bool cert::eventFromJson(const JsonValue &V, Event &Out) {
   Out.Tid = static_cast<ThreadId>(Tid.IntVal);
   Out.Kind = Kind.StrVal;
   Out.Args.clear();
+  Out.Args.reserve(Args.Items.size());
   for (const JsonValue &A : Args.Items) {
     if (!A.isNumber() || !A.IsInt)
       return false;
@@ -143,10 +169,12 @@ bool cert::eventFromJson(const JsonValue &V, Event &Out) {
 }
 
 JsonValue cert::logToJson(const Log &L) {
-  std::vector<JsonValue> Events;
-  for (const Event &E : L)
-    Events.push_back(eventToJson(E));
-  return jsonArray(std::move(Events));
+  JsonValue V;
+  V.K = JsonValue::Kind::Array;
+  V.Items.resize(L.size());
+  for (std::size_t I = 0; I != L.size(); ++I)
+    fillEvent(V.Items[I], L[I]);
+  return V;
 }
 
 bool cert::logFromJson(const JsonValue &V, Log &Out) {
@@ -163,16 +191,19 @@ bool cert::logFromJson(const JsonValue &V, Log &Out) {
 }
 
 JsonValue cert::logsToJson(const std::vector<Log> &Ls) {
-  std::vector<JsonValue> Logs;
+  JsonValue V;
+  V.K = JsonValue::Kind::Array;
+  V.Items.reserve(Ls.size());
   for (const Log &L : Ls)
-    Logs.push_back(logToJson(L));
-  return jsonArray(std::move(Logs));
+    V.Items.push_back(logToJson(L));
+  return V;
 }
 
 bool cert::logsFromJson(const JsonValue &V, std::vector<Log> &Out) {
   if (!V.isArray())
     return false;
   Out.clear();
+  Out.reserve(V.Items.size());
   for (const JsonValue &L : V.Items) {
     Log Lg;
     if (!logFromJson(L, Lg))

@@ -53,6 +53,18 @@ std::string readFile(const fs::path &P, bool &Ok, bool &Vanished) {
   return Out;
 }
 
+/// Fields of the envelope render() writes: certificate, checker, desc,
+/// key, payload, schema, version.
+constexpr std::size_t EnvelopeFields = 7;
+
+/// The key's hash as the store writes it: 16 lower-case hex digits.
+std::string hexOf(const cert::CertKey &Key) {
+  char Hex[24];
+  std::snprintf(Hex, sizeof(Hex), "%016llx",
+                static_cast<unsigned long long>(Key.Hash));
+  return Hex;
+}
+
 } // namespace
 
 CertStore::CertStore(std::string Dir, std::size_t MaxEntries)
@@ -62,19 +74,24 @@ CertStore::CertStore(std::string Dir, std::size_t MaxEntries)
 }
 
 std::string CertStore::render(const CertKey &Key, const Entry &E) {
-  JsonValue Doc;
-  Doc.K = JsonValue::Kind::Object;
-  Doc.Fields["schema"] = jsonInt(StoreSchemaVersion);
-  Doc.Fields["checker"] = jsonStr(Key.Checker);
-  Doc.Fields["version"] = jsonStr(Key.Version);
-  char Hex[24];
-  std::snprintf(Hex, sizeof(Hex), "%016llx",
-                static_cast<unsigned long long>(Key.Hash));
-  Doc.Fields["key"] = jsonStr(Hex);
-  Doc.Fields["desc"] = jsonStr(Key.Desc);
-  Doc.Fields["certificate"] = certToJson(*E.Cert);
-  Doc.Fields["payload"] = E.Payload;
-  return jsonToString(Doc) + "\n";
+  // The fixed envelope, written directly with its keys in the sorted
+  // order jsonToString gives an object, so the bytes match a rendered
+  // document without first copying the payload into one.
+  std::string Out = "{\"certificate\":";
+  jsonAppend(Out, certToJson(*E.Cert));
+  Out += ",\"checker\":";
+  jsonAppendString(Out, Key.Checker);
+  Out += ",\"desc\":";
+  jsonAppendString(Out, Key.Desc);
+  Out += ",\"key\":";
+  jsonAppendString(Out, hexOf(Key));
+  Out += ",\"payload\":";
+  jsonAppend(Out, E.Payload);
+  Out += ",\"schema\":" + std::to_string(StoreSchemaVersion);
+  Out += ",\"version\":";
+  jsonAppendString(Out, Key.Version);
+  Out += "}\n";
+  return Out;
 }
 
 bool CertStore::load(const CertKey &Key, Entry &Out) {
@@ -98,10 +115,16 @@ bool CertStore::load(const CertKey &Key, Entry &Out) {
     return false; // plain miss; getOrCheck counts it
   if (!ReadOk)
     return Reject();
+  // Only the writer's own image is served: render(load(f)) must give back
+  // f's bytes, so whitespace, repeated or reordered keys, a field store()
+  // never writes, or any other spelling of a value is a rejection.
   JsonParseResult Parsed = parseJson(Text);
-  if (!Parsed)
+  if (!Parsed || !Parsed.Canonical || Text.size() < 2 ||
+      Text.compare(Text.size() - 2, 2, "}\n") != 0)
     return Reject();
-  const JsonValue &Doc = Parsed.Value;
+  JsonValue &Doc = Parsed.Value;
+  if (!Doc.isObject() || Doc.Fields.size() != EnvelopeFields)
+    return Reject();
 
   const JsonValue *Schema = Doc.field("schema");
   if (!Schema || !Schema->isNumber() || !Schema->IsInt ||
@@ -109,17 +132,17 @@ bool CertStore::load(const CertKey &Key, Entry &Out) {
     return Reject();
 
   // The recomputed address must match the recorded one in every part:
-  // a different checker, version tag, or input hash under this file name
-  // means the entry answers a different question than the one asked.
-  char Hex[24];
-  std::snprintf(Hex, sizeof(Hex), "%016llx",
-                static_cast<unsigned long long>(Key.Hash));
+  // a different checker, version tag, input hash or statement under this
+  // file name means the entry answers a different question than the one
+  // asked.
   const JsonValue *Checker = Doc.field("checker");
   const JsonValue *Version = Doc.field("version");
   const JsonValue *KeyHex = Doc.field("key");
+  const JsonValue *Desc = Doc.field("desc");
   if (!Checker || !Checker->isString() || Checker->StrVal != Key.Checker ||
       !Version || !Version->isString() || Version->StrVal != Key.Version ||
-      !KeyHex || !KeyHex->isString() || KeyHex->StrVal != Hex)
+      !KeyHex || !KeyHex->isString() || KeyHex->StrVal != hexOf(Key) ||
+      !Desc || !Desc->isString() || Desc->StrVal != Key.Desc)
     return Reject();
 
   const JsonValue *CertDoc = Doc.field("certificate");
@@ -136,12 +159,13 @@ bool CertStore::load(const CertKey &Key, Entry &Out) {
   if (!C->CoverageComplete)
     return Reject();
 
-  const JsonValue *Payload = Doc.field("payload");
-  if (!Payload)
+  // The parsed document dies here: move the payload out, never copy it.
+  auto Payload = Doc.Fields.find("payload");
+  if (Payload == Doc.Fields.end())
     return Reject();
 
   Out.Cert = std::move(C);
-  Out.Payload = *Payload;
+  Out.Payload = std::move(Payload->second);
   return true;
 }
 

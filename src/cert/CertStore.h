@@ -16,9 +16,10 @@
 /// The store FAILS CLOSED, mirroring how the calculus combinators reject
 /// ill-formed derivations.  A loaded entry is discarded (counted as a
 /// rejection, and the check re-runs) when any of these mismatch:
-///   * the document does not parse, or its schema version is unknown;
-///   * the recorded checker / version tag / key differ from the recomputed
-///     CertKey;
+///   * the document does not parse, is not byte for byte what render()
+///     writes for it, or its schema version is unknown;
+///   * the recorded checker / version tag / key / description differ from
+///     the recomputed CertKey;
 ///   * the certificate fails strict deserialization;
 ///   * the certificate claims Valid without CoverageComplete (impossible
 ///     to mint honestly — evidence of tampering);
@@ -85,6 +86,8 @@ public:
 
   /// Loads and validates the entry at \p Key; false on miss or rejection
   /// (rejected files are deleted so the next run does not re-reject).
+  /// The payload is moved out of the parsed file, not copied; an accepted
+  /// entry renders back to exactly the file's bytes.
   bool load(const CertKey &Key, Entry &Out);
 
   /// Persists \p E under \p Key (atomic write; no-op with a rejection
@@ -92,7 +95,8 @@ public:
   void store(const CertKey &Key, const Entry &E);
 
   /// Serializes an entry exactly as `store` writes it (exposed so tests
-  /// and CI can compare stored bytes).
+  /// and CI can compare stored bytes).  The envelope is written directly
+  /// and the payload appended in place, without copying it.
   static std::string render(const CertKey &Key, const Entry &E);
 
   const std::string &dir() const { return Dir; }

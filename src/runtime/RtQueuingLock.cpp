@@ -42,10 +42,13 @@ void QueuingLock::release() {
   Sleepers.pop_front(); // ql_busy = wakeup(): direct handoff
   Spin.release();
   {
+    // Notify under the waiter's mutex: once Granted is visible and the
+    // mutex free, the waiter may return and destroy its stack Waiter, so
+    // a notify after the unlock could touch a dead condition variable.
     std::lock_guard<std::mutex> Guard(Next->M);
     Next->Granted = true;
+    Next->Cv.notify_one();
   }
-  Next->Cv.notify_one();
   if (AInv)
     audit::record(this, audit::Method::Rel, /*HasArg=*/false, 0, 0, AInv);
 }

@@ -2,14 +2,30 @@
 
 #include "support/Json.h"
 
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 using namespace ccal;
 
 namespace {
+
+/// Characters a JSON string cannot hold raw: the parser ends its bulk
+/// runs at them, and the writer escapes them.
+bool needsEscape(char C) {
+  return C == '"' || C == '\\' || static_cast<unsigned char>(C) < 0x20;
+}
+
+/// The writer's spelling of number \p V, into \p Buf; returns its length.
+std::size_t formatNumber(const JsonValue &V, char (&Buf)[40]) {
+  if (V.IsInt)
+    return static_cast<std::size_t>(
+        std::to_chars(Buf, Buf + sizeof(Buf), V.IntVal).ptr - Buf);
+  return static_cast<std::size_t>(
+      std::snprintf(Buf, sizeof(Buf), "%.17g", V.NumVal));
+}
 
 class Parser {
 public:
@@ -19,13 +35,17 @@ public:
   JsonParseResult run() {
     JsonParseResult R;
     skipWs();
-    if (!parseValue(R.Value)) {
+    Stack.emplace_back();
+    if (!parseValue(0)) {
       R.Error = "offset " + std::to_string(Pos) + ": " + Err;
       return R;
     }
+    R.Value = std::move(Stack[0]);
+    R.Canonical = Canonical; // trailing whitespace is not part of the value
     skipWs();
     if (Pos != Text.size()) {
       R.Error = "offset " + std::to_string(Pos) + ": trailing garbage";
+      R.Canonical = false;
       return R;
     }
     R.Ok = true;
@@ -40,10 +60,13 @@ private:
   }
 
   void skipWs() {
+    const std::size_t Start = Pos;
     while (Pos < Text.size() &&
            (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
             Text[Pos] == '\r'))
       ++Pos;
+    if (Pos != Start)
+      Canonical = false;
   }
 
   bool literal(const char *Lit) {
@@ -55,19 +78,22 @@ private:
     return true;
   }
 
-  bool parseValue(JsonValue &Out) {
+  /// Parses one value into Stack[Slot].  Every value is parsed on the
+  /// stack and named by index, because a container's children push onto
+  /// the stack above it and may reallocate it.
+  bool parseValue(std::size_t Slot) {
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
-    switch (C) {
-    case '{':
-    case '[': {
+    if (C == '{' || C == '[') {
       if (!enter())
         return false;
-      bool Ok = C == '{' ? parseObject(Out) : parseArray(Out);
+      bool Ok = C == '{' ? parseObject(Slot) : parseArray(Slot);
       --Depth;
       return Ok;
     }
+    JsonValue &Out = Stack[Slot]; // scalars push nothing
+    switch (C) {
     case '"':
       Out.K = JsonValue::Kind::String;
       return parseString(Out.StrVal);
@@ -105,8 +131,8 @@ private:
     return true;
   }
 
-  bool parseObject(JsonValue &Out) {
-    Out.K = JsonValue::Kind::Object;
+  bool parseObject(std::size_t Slot) {
+    Stack[Slot].K = JsonValue::Kind::Object;
     ++Pos; // '{'
     skipWs();
     if (Pos < Text.size() && Text[Pos] == '}') {
@@ -125,10 +151,19 @@ private:
         return fail("expected ':'");
       ++Pos;
       skipWs();
-      JsonValue V;
-      if (!parseValue(V))
+      const std::size_t Field = Stack.size();
+      Stack.emplace_back();
+      if (!parseValue(Field))
         return false;
-      Out.Fields[Key] = std::move(V);
+      // A repeated key's last value wins.  The writer emits keys in
+      // strictly ascending (std::map) order; anything else is not
+      // canonical.
+      auto &Fields = Stack[Slot].Fields;
+      auto [It, Inserted] =
+          Fields.insert_or_assign(std::move(Key), std::move(Stack[Field]));
+      if (!Inserted || std::next(It) != Fields.end())
+        Canonical = false;
+      Stack.pop_back();
       skipWs();
       if (Pos >= Text.size())
         return fail("unterminated object");
@@ -144,20 +179,22 @@ private:
     }
   }
 
-  bool parseArray(JsonValue &Out) {
-    Out.K = JsonValue::Kind::Array;
+  bool parseArray(std::size_t Slot) {
+    Stack[Slot].K = JsonValue::Kind::Array;
     ++Pos; // '['
     skipWs();
     if (Pos < Text.size() && Text[Pos] == ']') {
       ++Pos;
       return true;
     }
+    // The elements collect on the stack above the array's own slot and
+    // move into one exact-size vector at the ']'.
+    const std::size_t Base = Stack.size();
     while (true) {
       skipWs();
-      JsonValue V;
-      if (!parseValue(V))
+      Stack.emplace_back();
+      if (!parseValue(Stack.size() - 1))
         return false;
-      Out.Items.push_back(std::move(V));
       skipWs();
       if (Pos >= Text.size())
         return fail("unterminated array");
@@ -167,6 +204,10 @@ private:
       }
       if (Text[Pos] == ']') {
         ++Pos;
+        const auto First = Stack.begin() + static_cast<std::ptrdiff_t>(Base);
+        Stack[Slot].Items.assign(std::make_move_iterator(First),
+                                 std::make_move_iterator(Stack.end()));
+        Stack.erase(First, Stack.end());
         return true;
       }
       return fail("expected ',' or ']'");
@@ -176,6 +217,15 @@ private:
   bool parseString(std::string &Out) {
     ++Pos; // '"'
     while (Pos < Text.size()) {
+      // Append the run up to the next quote, backslash or control
+      // character in one go.
+      std::size_t End = Pos;
+      while (End < Text.size() && !needsEscape(Text[End]))
+        ++End;
+      Out.append(Text, Pos, End - Pos);
+      Pos = End;
+      if (Pos >= Text.size())
+        break;
       char C = Text[Pos];
       if (C == '"') {
         ++Pos;
@@ -187,9 +237,11 @@ private:
           return fail("bad escape");
         char E = Text[Pos];
         switch (E) {
+        case '/':
+          Canonical = false; // the writer leaves '/' unescaped
+          [[fallthrough]];
         case '"':
         case '\\':
-        case '/':
           Out += E;
           break;
         case 'b':
@@ -218,12 +270,18 @@ private:
               V |= static_cast<unsigned>(H - '0');
             else if (H >= 'a' && H <= 'f')
               V |= static_cast<unsigned>(H - 'a' + 10);
-            else if (H >= 'A' && H <= 'F')
+            else if (H >= 'A' && H <= 'F') {
               V |= static_cast<unsigned>(H - 'A' + 10);
-            else
+              Canonical = false; // the writer's hex digits are lower case
+            } else
               return fail("bad \\u escape");
           }
           Pos += 4;
+          // The writer spells only control characters without a short
+          // escape this way.
+          if (V >= 0x20 || V == '\b' || V == '\f' || V == '\n' || V == '\r' ||
+              V == '\t')
+            Canonical = false;
           // UTF-8 encode the BMP code point (surrogates passed through
           // as-is — trace/bench output never emits them).
           if (V < 0x80) {
@@ -244,23 +302,56 @@ private:
         ++Pos;
         continue;
       }
-      if (static_cast<unsigned char>(C) < 0x20)
-        return fail("raw control character in string");
-      Out += C;
-      ++Pos;
+      return fail("raw control character in string");
     }
     return fail("unterminated string");
   }
 
+  /// Characters the number scanner below takes into a token.
+  static bool numberChar(char C) {
+    return (C >= '0' && C <= '9') || C == '.' || C == 'e' || C == 'E' ||
+           C == '+' || C == '-';
+  }
+
+  /// `[-]digits` with at most 18 digits, ending where the token ends: the
+  /// value fits an int64 and converts to double exactly as strtod rounds
+  /// it, so this gives the general path's verdict without its copy and
+  /// two library conversions.  Anything else returns false untouched.
+  bool parseSmallInt(JsonValue &Out) {
+    std::size_t P = Pos;
+    const bool Neg = P < Text.size() && Text[P] == '-';
+    if (Neg)
+      ++P;
+    const std::size_t Digits = P;
+    std::uint64_t Mag = 0;
+    // A 19th digit shows the token is too long; Mag cannot overflow.
+    while (P < Text.size() && P - Digits < 19 && Text[P] >= '0' &&
+           Text[P] <= '9')
+      Mag = Mag * 10 + static_cast<unsigned>(Text[P++] - '0');
+    if (P == Digits || P - Digits > 18 ||
+        (P < Text.size() && numberChar(Text[P])))
+      return false;
+    // Leading zeros and "-0" are not how the writer spells an integer.
+    if ((Text[Digits] == '0' && P - Digits > 1) || (Neg && Mag == 0))
+      Canonical = false;
+    Pos = P;
+    Out.K = JsonValue::Kind::Number;
+    Out.IsInt = true;
+    Out.IntVal = Neg ? -static_cast<std::int64_t>(Mag)
+                     : static_cast<std::int64_t>(Mag);
+    // -0 keeps its sign in the double, as strtod gives it.
+    Out.NumVal = Neg ? -static_cast<double>(Mag) : static_cast<double>(Mag);
+    return true;
+  }
+
   bool parseNumber(JsonValue &Out) {
+    if (parseSmallInt(Out))
+      return true;
     std::size_t Start = Pos;
     bool Fractional = false;
     if (Pos < Text.size() && Text[Pos] == '-')
       ++Pos;
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '+' || Text[Pos] == '-')) {
+    while (Pos < Text.size() && numberChar(Text[Pos])) {
       if (Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E')
         Fractional = true;
       ++Pos;
@@ -284,6 +375,9 @@ private:
         Out.IntVal = I;
       }
     }
+    char Buf[40];
+    if (std::string_view(Buf, formatNumber(Out, Buf)) != Num)
+      Canonical = false;
     return true;
   }
 
@@ -292,6 +386,10 @@ private:
   std::size_t Pos = 0;
   std::size_t Depth = 0;
   std::string Err;
+  /// Values being parsed: each open container's slot, and above it the
+  /// elements parsed so far.
+  std::vector<JsonValue> Stack;
+  bool Canonical = true; ///< see JsonParseResult::Canonical
 };
 
 } // namespace
@@ -346,10 +444,19 @@ JsonValue ccal::jsonArray(std::vector<JsonValue> Items) {
 
 namespace {
 
-void writeString(std::string &Out, const std::string &S) {
+void writeString(std::string &Out, std::string_view S) {
   Out += '"';
-  for (char C : S) {
-    unsigned char U = static_cast<unsigned char>(C);
+  const char *P = S.data(), *End = P + S.size();
+  while (P != End) {
+    // Escape-free runs go out in one append.
+    const char *Run = P;
+    while (Run != End && !needsEscape(*Run))
+      ++Run;
+    Out.append(P, Run);
+    if (Run == End)
+      break;
+    const char C = *Run;
+    P = Run + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -372,14 +479,12 @@ void writeString(std::string &Out, const std::string &S) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (U < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", U);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x",
+                    static_cast<unsigned char>(C));
+      Out += Buf;
+    }
     }
   }
   Out += '"';
@@ -395,12 +500,7 @@ void writeValue(std::string &Out, const JsonValue &V) {
     break;
   case JsonValue::Kind::Number: {
     char Buf[40];
-    if (V.IsInt)
-      std::snprintf(Buf, sizeof(Buf), "%lld",
-                    static_cast<long long>(V.IntVal));
-    else
-      std::snprintf(Buf, sizeof(Buf), "%.17g", V.NumVal);
-    Out += Buf;
+    Out.append(Buf, formatNumber(V, Buf));
     break;
   }
   case JsonValue::Kind::String:
@@ -441,4 +541,12 @@ std::string ccal::jsonToString(const JsonValue &V) {
   std::string Out;
   writeValue(Out, V);
   return Out;
+}
+
+void ccal::jsonAppend(std::string &Out, const JsonValue &V) {
+  writeValue(Out, V);
+}
+
+void ccal::jsonAppendString(std::string &Out, std::string_view S) {
+  writeString(Out, S);
 }

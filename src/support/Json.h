@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ccal {
@@ -31,11 +32,13 @@ struct JsonValue {
   Kind K = Kind::Null;
 
   bool BoolVal = false;
-  double NumVal = 0.0;
   /// Numbers written without '.' or an exponent keep their exact 64-bit
-  /// value here (NumVal still mirrors it, lossily above 2^53) so evidence
-  /// counters survive parse→serialize round trips bit-for-bit.
+  /// value in IntVal (NumVal still mirrors it, lossily above 2^53) so
+  /// evidence counters survive parse→serialize round trips bit-for-bit.
+  /// (The flags sit together so a value packs into 128 bytes; a parsed
+  /// certificate corpus holds ~10^5 of them.)
   bool IsInt = false;
+  double NumVal = 0.0;
   std::int64_t IntVal = 0;
   std::string StrVal;
   std::vector<JsonValue> Items;                ///< arrays
@@ -62,6 +65,11 @@ struct JsonParseResult {
   bool Ok = false;
   JsonValue Value;
   std::string Error; ///< "offset N: message" when !Ok
+  /// The value's text is exactly jsonToString(Value): no whitespace, keys
+  /// strictly ascending, and every number and escape spelled the way the
+  /// writer spells it.  Trailing whitespace after the value is allowed.
+  /// Readers of stored documents use it to accept only the writer's image.
+  bool Canonical = false;
 
   explicit operator bool() const { return Ok; }
 };
@@ -100,6 +108,15 @@ JsonValue jsonArray(std::vector<JsonValue> Items);
 /// writer's image, which is what makes stored certificates comparable by
 /// checksum.
 std::string jsonToString(const JsonValue &V);
+
+/// Appends jsonToString(\p V) to \p Out, so a caller assembling a larger
+/// document (the certificate store's envelope) writes each part in place
+/// instead of copying it into a temporary tree first.
+void jsonAppend(std::string &Out, const JsonValue &V);
+
+/// Appends \p S as a quoted, escaped JSON string, exactly as the writer
+/// renders a string value.
+void jsonAppendString(std::string &Out, std::string_view S);
 
 } // namespace ccal
 

@@ -9,16 +9,23 @@
 // std::vector<Event> log); any byte difference here means existing
 // certificate stores would silently miss (or worse, collide).
 //
+// The full-entry golden does the same for CertStore::render as a whole:
+// the store's writer may change how it writes (envelope written directly,
+// bulk string runs, to_chars integers) but never what it writes.
+//
 //===----------------------------------------------------------------------===//
 
 #include "cert/CertJson.h"
 
 #include "cert/CertKey.h"
+#include "cert/CertStore.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 
@@ -46,6 +53,107 @@ Log makeGoldenLog() {
   L.push_back(Event(2, "rel"));
   return L;
 }
+
+/// An entry exercising every shape the store writes: a nested premise
+/// tree, notes with every escape plus raw control characters, and a
+/// payload whose corpus holds both int64 extremes.
+CertKey makeGoldenKey() {
+  CertKey K;
+  K.Checker = "refine";
+  K.Version = "golden-v1";
+  K.Hash = 0x0123456789abcdefULL;
+  K.Desc = "tick \"impl\" refines tick\\spec via id";
+  return K;
+}
+
+CertPtr makeGoldenLeaf(const std::string &Module, std::uint64_t Runs) {
+  auto C = std::make_shared<RefinementCertificate>();
+  C->Rule = "Fun";
+  C->Underlay = "L0";
+  C->Module = Module;
+  C->Overlay = "L1";
+  C->Relation = "R_id";
+  C->Valid = true;
+  C->CoverageComplete = true;
+  C->Coverage = "exhaustive";
+  C->Obligations = 7;
+  C->Runs = Runs;
+  C->Moves = 123456789012ULL;
+  C->Invariants = 2;
+  return C;
+}
+
+CertStore::Entry makeGoldenEntry() {
+  auto Inner = std::make_shared<RefinementCertificate>(
+      *makeGoldenLeaf("inner", 1));
+  Inner->Rule = "Wk";
+  Inner->Premises.push_back(makeGoldenLeaf("leaf", 0));
+  auto Root = std::make_shared<RefinementCertificate>(
+      *makeGoldenLeaf("root", 9007199254740993ULL));
+  Root->Rule = "Vcomp";
+  Root->Premises.push_back(Inner);
+  Root->Premises.push_back(makeGoldenLeaf("right", 42));
+  Root->Notes.push_back("quote \" backslash \\ slash / done");
+  Root->Notes.push_back("bs \b ff \f nl \n cr \r tab \t");
+  Root->Notes.push_back(std::string("raw \x01 and \x1f and nul ") +
+                        std::string(1, '\0') + " end");
+  Root->Notes.push_back("utf8 \xc3\xa9 del \x7f");
+  Root->Notes.push_back("");
+
+  Log L;
+  L.push_back(Event::sched(1));
+  L.push_back(Event(1, "FAI_t", {0}));
+  L.push_back(Event(2, "push", {std::numeric_limits<std::int64_t>::max(),
+                                std::numeric_limits<std::int64_t>::min()}));
+  L.push_back(Event(2, "pop", {-1, 0, 1}));
+  Log Empty;
+
+  JsonValue P;
+  P.K = JsonValue::Kind::Object;
+  P.Fields["holds"] = jsonBool(true);
+  P.Fields["spec_complete"] = jsonBool(false);
+  P.Fields["counterexample"] = jsonStr("");
+  P.Fields["states"] = jsonUInt(652961);
+  P.Fields["ratio"] = jsonNum(0.1);
+  P.Fields["nothing"] = jsonNull();
+  P.Fields["corpus"] = logsToJson({L, Empty, L});
+
+  CertStore::Entry E;
+  E.Cert = Root;
+  E.Payload = std::move(P);
+  return E;
+}
+
+/// CertStore::render of makeGoldenEntry() under makeGoldenKey(), captured
+/// from the writer that built a whole JsonValue document (payload copied
+/// in) and rendered it with snprintf integers and per-character strings.
+const char GoldenEntryBytes[] =
+      "{\"certificate\":{\"coverage\":\"exhaustive\",\"coverage_complete\":tr"
+      "ue,\"invariants\":2,\"module\":\"root\",\"moves\":123456789012,\"notes"
+      "\":[\"quote \\\" backslash \\\\ slash / done\",\"bs \\b ff \\f nl \\n "
+      "cr \\r tab \\t\",\"raw \\u0001 and \\u001f and nul \\u0000 end\",\"utf"
+      "8 \xc3\xa9 del \x7f\",\"\"],\"obligations\":7,\"overlay\":\"L1\",\"pre"
+      "mises\":[{\"coverage\":\"exhaustive\",\"coverage_complete\":true,\"inv"
+      "ariants\":2,\"module\":\"inner\",\"moves\":123456789012,\"notes\":[],"
+      "\"obligations\":7,\"overlay\":\"L1\",\"premises\":[{\"coverage\":\"exh"
+      "austive\",\"coverage_complete\":true,\"invariants\":2,\"module\":\"lea"
+      "f\",\"moves\":123456789012,\"notes\":[],\"obligations\":7,\"overlay\":"
+      "\"L1\",\"premises\":[],\"relation\":\"R_id\",\"rule\":\"Fun\",\"runs\""
+      ":0,\"underlay\":\"L0\",\"valid\":true}],\"relation\":\"R_id\",\"rule\""
+      ":\"Wk\",\"runs\":1,\"underlay\":\"L0\",\"valid\":true},{\"coverage\":"
+      "\"exhaustive\",\"coverage_complete\":true,\"invariants\":2,\"module\":"
+      "\"right\",\"moves\":123456789012,\"notes\":[],\"obligations\":7,\"over"
+      "lay\":\"L1\",\"premises\":[],\"relation\":\"R_id\",\"rule\":\"Fun\",\""
+      "runs\":42,\"underlay\":\"L0\",\"valid\":true}],\"relation\":\"R_id\","
+      "\"rule\":\"Vcomp\",\"runs\":9007199254740993,\"underlay\":\"L0\",\"val"
+      "id\":true},\"checker\":\"refine\",\"desc\":\"tick \\\"impl\\\" refines"
+      " tick\\\\spec via id\",\"key\":\"0123456789abcdef\",\"payload\":{\"cor"
+      "pus\":[[[1,\"sched\",[]],[1,\"FAI_t\",[0]],[2,\"push\",[92233720368547"
+      "75807,-9223372036854775808]],[2,\"pop\",[-1,0,1]]],[],[[1,\"sched\",[]"
+      "],[1,\"FAI_t\",[0]],[2,\"push\",[9223372036854775807,-9223372036854775"
+      "808]],[2,\"pop\",[-1,0,1]]]],\"counterexample\":\"\",\"holds\":true,\""
+      "nothing\":null,\"ratio\":0.10000000000000001,\"spec_complete\":false,"
+      "\"states\":652961},\"schema\":1,\"version\":\"golden-v1\"}\n";
 
 } // namespace
 
@@ -88,4 +196,25 @@ TEST(CertGoldenTest, EventJsonUsesStringsNotIds) {
   Event A(1, "aa_golden_kind");
   EXPECT_EQ(jsonToString(eventToJson(A)), "[1,\"aa_golden_kind\",[]]");
   EXPECT_EQ(jsonToString(eventToJson(B)), "[1,\"zz_golden_kind\",[]]");
+}
+
+TEST(CertGoldenTest, StoreEntryBytesMatchTheDocumentWriterCapture) {
+  EXPECT_EQ(CertStore::render(makeGoldenKey(), makeGoldenEntry()),
+            std::string(GoldenEntryBytes, sizeof(GoldenEntryBytes) - 1));
+}
+
+TEST(CertGoldenTest, GoldenEntryLoadsAndRendersBackToItsBytes) {
+  const std::string Golden(GoldenEntryBytes, sizeof(GoldenEntryBytes) - 1);
+  const std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) / "ccal_cert_golden";
+  std::filesystem::remove_all(Dir);
+  CertStore Store(Dir.string());
+  const CertKey Key = makeGoldenKey();
+  std::ofstream(Dir / (Key.fileStem() + ".cert.json"), std::ios::binary)
+      << Golden;
+  CertStore::Entry E;
+  ASSERT_TRUE(Store.load(Key, E));
+  EXPECT_EQ(CertStore::render(Key, E), Golden);
+  EXPECT_EQ(E.Cert->tree(), makeGoldenEntry().Cert->tree());
+  std::filesystem::remove_all(Dir);
 }

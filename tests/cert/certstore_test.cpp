@@ -17,6 +17,9 @@
 #include "lang/TypeCheck.h"
 #include "machine/CpuLocal.h"
 #include "machine/Soundness.h"
+#include "objects/Harness.h"
+#include "objects/McsLock.h"
+#include "objects/TicketLock.h"
 #include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -137,6 +140,31 @@ cert::CertKey makeKey(const std::string &Checker, std::uint64_t Hash) {
   return K;
 }
 
+/// The key a stored entry was written under, read back from its envelope.
+bool keyOfEntry(const std::string &Bytes, cert::CertKey &Key) {
+  JsonParseResult P = parseJson(Bytes);
+  const JsonValue *Checker = P ? P.Value.field("checker") : nullptr;
+  const JsonValue *Version = P ? P.Value.field("version") : nullptr;
+  const JsonValue *Hex = P ? P.Value.field("key") : nullptr;
+  const JsonValue *Desc = P ? P.Value.field("desc") : nullptr;
+  if (!Checker || !Version || !Hex || !Desc)
+    return false;
+  Key.Checker = Checker->StrVal;
+  Key.Version = Version->StrVal;
+  Key.Hash = std::strtoull(Hex->StrVal.c_str(), nullptr, 16);
+  Key.Desc = Desc->StrVal;
+  return true;
+}
+
+/// \p S with its only occurrence of \p From replaced by \p To.
+std::string replaceOnce(std::string S, const std::string &From,
+                        const std::string &To) {
+  std::size_t At = S.find(From);
+  EXPECT_NE(At, std::string::npos) << From;
+  EXPECT_EQ(S.find(From, At + 1), std::string::npos) << From;
+  return At == std::string::npos ? S : S.replace(At, From.size(), To);
+}
+
 } // namespace
 
 TEST_F(CertStoreTest, StoreThenLoadRoundTripsBytes) {
@@ -151,6 +179,58 @@ TEST_F(CertStoreTest, StoreThenLoadRoundTripsBytes) {
             cert::CertStore::render(Key, Back));
   EXPECT_TRUE(Back.Cert->Valid);
   EXPECT_EQ(Back.Payload.StrVal, "payload");
+}
+
+TEST_F(CertStoreTest, StoredCatalogEntriesRenderBackToTheirBytes) {
+  // The harnesses behind certd's ticket.2cpu and mcs.2cpu jobs; the MCS
+  // entry is the store's largest (a 2,048-log corpus).
+  ASSERT_TRUE(runObjectHarness(makeTicketLockHarness(2, 1)).Report.Holds);
+  ASSERT_TRUE(runObjectHarness(makeMcsLockHarness(2, 1)).Report.Holds);
+  std::vector<fs::path> Files = storedFiles();
+  ASSERT_EQ(Files.size(), 2u);
+  cert::CertStore Store(Dir.string());
+  for (const fs::path &F : Files) {
+    const std::string Bytes = slurp(F);
+    cert::CertKey Key;
+    ASSERT_TRUE(keyOfEntry(Bytes, Key)) << F;
+    cert::CertStore::Entry E;
+    ASSERT_TRUE(Store.load(Key, E)) << F;
+    EXPECT_EQ(cert::CertStore::render(Key, E), Bytes) << F;
+  }
+  EXPECT_EQ(obs::counterValue("cert.rejections"), 0u);
+}
+
+TEST_F(CertStoreTest, OnlyTheWritersImageIsServed) {
+  // Each variant parses, and all but the last two carry the same
+  // certificate and payload; none is what render() writes, so each is
+  // rejected (and deleted) rather than served.
+  cert::CertStore Store(Dir.string());
+  const cert::CertKey Key = makeKey("refine", 0x77);
+  const std::string Good = cert::CertStore::render(Key, makeGoodEntry());
+  const std::string Body = Good.substr(0, Good.size() - 1); // no '\n'
+  const std::vector<std::string> Variants = {
+      " " + Good,
+      Body + "\n\n",
+      Body,
+      replaceOnce(Good, "\"schema\":1", "\"schema\":01"),
+      replaceOnce(Good, "\"rule\":\"Fun\"", "\"rule\":\"F\\u0075n\""),
+      replaceOnce(Good, "{\"certificate\":", "{\"aaa\":0,\"certificate\":"),
+      replaceOnce(Good, "\"coverage\":\"", "\"bonus\":1,\"coverage\":\""),
+      replaceOnce(Good, "unit-test entry", "another statement"),
+  };
+  const fs::path Path = Dir / (Key.fileStem() + ".cert.json");
+  std::uint64_t Rejections = 0;
+  for (const std::string &V : Variants) {
+    ASSERT_TRUE(parseJson(V).Ok) << V;
+    std::ofstream(Path, std::ios::binary) << V;
+    cert::CertStore::Entry E;
+    EXPECT_FALSE(Store.load(Key, E)) << V;
+    EXPECT_EQ(obs::counterValue("cert.rejections"), ++Rejections) << V;
+    EXPECT_FALSE(fs::exists(Path)) << V;
+  }
+  std::ofstream(Path, std::ios::binary) << Good;
+  cert::CertStore::Entry E;
+  EXPECT_TRUE(Store.load(Key, E));
 }
 
 TEST_F(CertStoreTest, WarmRefinementHitRunsZeroExplorations) {

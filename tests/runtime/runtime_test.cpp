@@ -73,6 +73,30 @@ TEST(RuntimeQueuingLockTest, MutualExclusionWithSleepers) {
   EXPECT_TRUE(hammer(8, 2000, [&] { L.acquire(); }, [&] { L.release(); }));
 }
 
+TEST(RuntimeQueuingLockTest, ShortLivedSleepersSurviveTheHandoff) {
+  // Every sleeper releases and exits as soon as it is handed the lock, so
+  // its stack Waiter dies right after the handoff: the releaser must be
+  // done with the waiter's condition variable by then.  Run it under TSan
+  // to see a late notify as a race with the waiter's destruction.
+  QueuingLock L;
+  long Counter = 0;
+  constexpr unsigned Rounds = 200, Sleepers = 8;
+  for (unsigned R = 0; R != Rounds; ++R) {
+    L.acquire(); // held while the sleepers start, so most of them park
+    std::vector<std::thread> Threads;
+    for (unsigned S = 0; S != Sleepers; ++S)
+      Threads.emplace_back([&] {
+        L.acquire();
+        Counter = Counter + 1;
+        L.release();
+      });
+    L.release();
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  EXPECT_EQ(Counter, static_cast<long>(Rounds * Sleepers));
+}
+
 TEST(RuntimeSharedQueueTest, TicketBackedMpmc) {
   SharedQueue<TicketLock<false>> Q;
   constexpr int PerProducer = 5000;

@@ -124,7 +124,7 @@ public:
 
   /// Running fold of hashEvent over the contents, maintained on append so
   /// hashLog is O(1) instead of a full walk (the Explorer hashes the log
-  /// in every outcome-dedup probe and snapshot hash).
+  /// in every outcome-dedup probe).
   std::uint64_t runHash() const { return RunHash; }
 
   /// Compatibility no-op: sealed chunks make bulk pre-allocation moot.

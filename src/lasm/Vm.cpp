@@ -322,41 +322,3 @@ void Vm::resumePrim(std::int64_t Ret) {
   PrimKind = KindId();
   PrimArgVals.clear();
 }
-
-std::uint64_t Vm::stateHash() const {
-  std::uint64_t H = hashMix64(static_cast<std::uint64_t>(St));
-  H = hashCombine(H, static_cast<std::uint64_t>(Result));
-  // Content hash, not the interning-order id, so values are stable.
-  H = hashCombine(H, PrimKind.strHash());
-  H = hashCombine(H, PrimArgVals.size());
-  for (std::int64_t V : PrimArgVals)
-    H = hashCombine(H, static_cast<std::uint64_t>(V));
-  H = hashCombine(H, Frames.size());
-  for (const Frame &F : Frames) {
-    H = hashCombine(H, static_cast<std::uint64_t>(F.Func));
-    H = hashCombine(H, static_cast<std::uint64_t>(F.PC));
-    H = hashCombine(H, F.Slots.size());
-    for (std::int64_t V : F.Slots)
-      H = hashCombine(H, static_cast<std::uint64_t>(V));
-    H = hashCombine(H, F.Stack.size());
-    for (std::int64_t V : F.Stack)
-      H = hashCombine(H, static_cast<std::uint64_t>(V));
-  }
-  return H;
-}
-
-bool Vm::sameState(const Vm &O) const {
-  if (Prog.get() != O.Prog.get() || St != O.St || Result != O.Result ||
-      Err != O.Err || PrimKind != O.PrimKind ||
-      PrimArgVals != O.PrimArgVals ||
-      Frames.size() != O.Frames.size())
-    return false;
-  for (size_t I = 0, E = Frames.size(); I != E; ++I) {
-    const Frame &A = Frames[I];
-    const Frame &B = O.Frames[I];
-    if (A.Func != B.Func || A.PC != B.PC || A.Slots != B.Slots ||
-        A.Stack != B.Stack)
-      return false;
-  }
-  return true;
-}

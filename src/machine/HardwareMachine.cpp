@@ -150,47 +150,6 @@ HardwareMachine::returns() const {
   return Out;
 }
 
-std::uint64_t HardwareMachine::snapshotHash() const {
-  Hasher H(hashLog(GlobalLog));
-  H.u64(Cpus.size());
-  for (const auto &[Id, C] : Cpus)
-    H.u64(Id)
-        .u64(C.Machine.stateHash())
-        .i64s(C.Globals)
-        .u64(C.NextWork)
-        .u64(static_cast<std::uint64_t>(C.Active))
-        .u64(static_cast<std::uint64_t>(C.AtPrim))
-        .u64(static_cast<std::uint64_t>(C.Done))
-        .i64s(C.Returns);
-  return H.value();
-}
-
-std::size_t HardwareMachine::snapshotBytes() const {
-  std::size_t B = sizeof(HardwareMachine) + GlobalLog.snapshotCopyBytes();
-  for (const auto &[Id, C] : Cpus) {
-    (void)Id;
-    B += sizeof(Cpu) + (C.Globals.size() + C.Returns.size()) *
-                           sizeof(std::int64_t);
-  }
-  return B;
-}
-
-bool HardwareMachine::sameSnapshot(const HardwareMachine &O) const {
-  if (Cfg.get() != O.Cfg.get() || Err != O.Err ||
-      GlobalLog != O.GlobalLog || Cpus.size() != O.Cpus.size())
-    return false;
-  auto It = O.Cpus.begin();
-  for (const auto &[Id, C] : Cpus) {
-    const auto &[OId, OC] = *It++;
-    if (Id != OId || C.NextWork != OC.NextWork || C.Active != OC.Active ||
-        C.AtPrim != OC.AtPrim || C.Done != OC.Done ||
-        C.Returns != OC.Returns || C.Globals != OC.Globals ||
-        !C.Machine.sameState(OC.Machine))
-      return false;
-  }
-  return true;
-}
-
 MulticoreLinkReport ccal::checkMulticoreLinking(MachineConfigPtr Cfg,
                                                 unsigned FairnessBound,
                                                 std::uint64_t MaxSchedules,

@@ -63,15 +63,6 @@ public:
   /// MultiCoreMachine::eventFootprint).
   Footprint eventFootprint(const Event &E) const;
 
-  /// Structural snapshot hash / equality for the Explorer's state-dedup
-  /// cache (see MultiCoreMachine::snapshotHash).
-  std::uint64_t snapshotHash() const;
-  bool sameSnapshot(const HardwareMachine &O) const;
-
-  /// Estimated resident bytes of one retained snapshot (see
-  /// MultiCoreMachine::snapshotBytes).
-  std::size_t snapshotBytes() const;
-
 private:
   struct Cpu {
     Vm Machine;

@@ -7,10 +7,10 @@
 ///
 /// \file
 /// One hashing discipline for the whole repository: the splitmix64-based
-/// mixer behind the explorer's snapshot dedup (machine/ThreadMachine
-/// `snapshotHash`) and the certificate store's content-addressed keys
-/// (cert/CertKey.h).  The `Hasher` accumulator enforces the two rules that
-/// make structural hashes trustworthy:
+/// mixer behind the explorer's outcome dedup (the log's running hash and
+/// `OutcomeSet` in machine/Explorer.h) and the certificate store's
+/// content-addressed keys (cert/CertKey.h).  The `Hasher` accumulator
+/// enforces the two rules that make structural hashes trustworthy:
 ///
 ///   * every value is avalanched before combining, so adjacent fields act
 ///     as separated words rather than a raw multiply-add chain;

@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -364,6 +365,10 @@ private:
     Out.NumVal = std::strtod(Num.c_str(), &End);
     if (End == nullptr || *End != '\0')
       return fail("malformed number");
+    // Past the double range strtod gives ±inf, which no JSON number
+    // spells; refusing it keeps render∘parse a fixed point.
+    if (std::isinf(Out.NumVal))
+      return fail("number out of range");
     if (!Fractional) {
       // Keep the exact 64-bit value for counters; out-of-range integer
       // literals (which this repository never writes) degrade to double.

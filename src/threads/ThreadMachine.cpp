@@ -259,55 +259,6 @@ ThreadedMachine::cpuMemory(ThreadId Cpu) const {
   return It->second;
 }
 
-std::uint64_t ThreadedMachine::snapshotHash() const {
-  Hasher H(hashLog(GlobalLog));
-  H.u64(Threads.size());
-  for (const auto &[Tid, T] : Threads)
-    H.u64(Tid)
-        .u64(T.Machine.stateHash())
-        .u64(T.Cpu)
-        .u64(T.NextWork)
-        .u64(static_cast<std::uint64_t>(T.Active))
-        .u64(static_cast<std::uint64_t>(T.Parked))
-        .u64(static_cast<std::uint64_t>(T.NeedsRun))
-        .u64(static_cast<std::uint64_t>(T.Exited))
-        .i64s(T.Returns);
-  H.u64(CpuMem.size());
-  for (const auto &[Cpu, Mem] : CpuMem)
-    H.u64(Cpu).i64s(Mem);
-  return H.value();
-}
-
-std::size_t ThreadedMachine::snapshotBytes() const {
-  std::size_t B = sizeof(ThreadedMachine) + GlobalLog.snapshotCopyBytes();
-  for (const auto &[Tid, T] : Threads) {
-    (void)Tid;
-    B += sizeof(Thr) + T.Returns.size() * sizeof(std::int64_t);
-  }
-  for (const auto &[Cpu, Mem] : CpuMem) {
-    (void)Cpu;
-    B += sizeof(Mem) + Mem.size() * sizeof(std::int64_t);
-  }
-  return B;
-}
-
-bool ThreadedMachine::sameSnapshot(const ThreadedMachine &O) const {
-  if (Cfg.get() != O.Cfg.get() || Err != O.Err ||
-      GlobalLog != O.GlobalLog || CpuMem != O.CpuMem ||
-      Threads.size() != O.Threads.size())
-    return false;
-  auto It = O.Threads.begin();
-  for (const auto &[Tid, T] : Threads) {
-    const auto &[OTid, OT] = *It++;
-    if (Tid != OTid || T.Cpu != OT.Cpu || T.NextWork != OT.NextWork ||
-        T.Active != OT.Active || T.Parked != OT.Parked ||
-        T.NeedsRun != OT.NeedsRun || T.Exited != OT.Exited ||
-        T.Returns != OT.Returns || !T.Machine.sameState(OT.Machine))
-      return false;
-  }
-  return true;
-}
-
 ExploreResult ccal::exploreThreaded(ThreadedConfigPtr Cfg,
                                     const ThreadedExploreOptions &Opts) {
   ThreadedMachine Root(std::move(Cfg));

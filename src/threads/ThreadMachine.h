@@ -128,16 +128,6 @@ public:
     return Footprint::opaque();
   }
 
-  /// Structural snapshot hash / equality for the Explorer's state-dedup
-  /// cache (see MultiCoreMachine::snapshotHash): per-thread VM states and
-  /// flags, the CPU-local memories, and the global log.
-  std::uint64_t snapshotHash() const;
-  bool sameSnapshot(const ThreadedMachine &O) const;
-
-  /// Estimated resident bytes of one retained snapshot (see
-  /// MultiCoreMachine::snapshotBytes).
-  std::size_t snapshotBytes() const;
-
 private:
   struct Thr {
     Vm Machine;

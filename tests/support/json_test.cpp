@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@ namespace {
 struct NumberVerdict {
   bool Ok = false;
   std::string Error;
+  std::string Reason; ///< Error without its offset (reference only)
   bool IsInt = false;
   std::int64_t IntVal = 0;
   std::uint64_t NumBits = 0;
@@ -46,15 +48,19 @@ std::uint64_t bitsOf(double D) {
 }
 
 /// The general number path on a token made only of `-+.eE0-9`: the
-/// scanner takes the whole token, strtod must consume all of it, and a
-/// token without '.', 'e' or 'E' is an integer when strtoll takes it
-/// whole without overflow.
+/// scanner takes the whole token, strtod must consume all of it without
+/// overflowing to ±inf, and a token without '.', 'e' or 'E' is an integer
+/// when strtoll takes it whole without overflow.
 NumberVerdict referenceNumber(const std::string &Tok) {
   NumberVerdict V;
   char *End = nullptr;
   double D = std::strtod(Tok.c_str(), &End);
-  if (End == nullptr || *End != '\0') {
-    V.Error = "offset " + std::to_string(Tok.size()) + ": malformed number";
+  if (End == nullptr || *End != '\0')
+    V.Reason = "malformed number";
+  else if (std::isinf(D))
+    V.Reason = "number out of range";
+  if (!V.Reason.empty()) {
+    V.Error = "offset " + std::to_string(Tok.size()) + ": " + V.Reason;
     return V;
   }
   V.Ok = true;
@@ -106,8 +112,8 @@ std::string numberMismatch(const std::string &Tok) {
         InArray.Value.Items[0].IntVal != Want.IntVal ||
         bitsOf(InArray.Value.Items[0].NumVal) != Want.NumBits)
       Diff += " differs as an array element;";
-  } else if (InArray.Error != "offset " + std::to_string(Tok.size() + 1) +
-                                  ": malformed number") {
+  } else if (InArray.Error !=
+             "offset " + std::to_string(Tok.size() + 1) + ": " + Want.Reason) {
     Diff += " array-element error '" + InArray.Error + "';";
   }
   return Diff;
@@ -153,8 +159,21 @@ TEST(JsonNumberTest, EdgeTokensMatchTheStrtodReference) {
         "9223372036854775807", "9223372036854775808", "-9223372036854775808",
         "-9223372036854775809", "999999999999999999", "-999999999999999999",
         "1000000000000000000", "000000000000000000001", "1e5", "1E+5", "1e-5",
-        "1.5", ".5", "5.", "1e", "e1", "1..2", "1e999", "-1e999", "+", "."})
+        "1.5", ".5", "5.", "1e", "e1", "1..2", "1e999", "-1e999", "+", ".",
+        "1.7976931348623157e308", "1.8e308", "-1e309"})
     EXPECT_EQ(numberMismatch(Tok), "") << "token: " << Tok;
+}
+
+TEST(JsonNumberTest, LargestDoubleRoundTrips) {
+  // The largest finite double parses and renders back to itself; the
+  // edge tokens just past it ("1.8e308", "-1e309") are rejected.
+  JsonParseResult Max = parseJson("1.7976931348623157e308");
+  ASSERT_TRUE(Max.Ok) << Max.Error;
+  EXPECT_EQ(Max.Value.NumVal, std::numeric_limits<double>::max());
+  const std::string Text = jsonToString(Max.Value);
+  JsonParseResult Again = parseJson(Text);
+  ASSERT_TRUE(Again.Ok) << Text << ": " << Again.Error;
+  EXPECT_EQ(jsonToString(Again.Value), Text);
 }
 
 TEST(JsonNumberTest, RandomTokensMatchTheStrtodReference) {

@@ -13,6 +13,11 @@
 // the store's writer may change how it writes (envelope written directly,
 // bulk string runs, to_chars integers) but never what it writes.
 //
+// The link-entry golden pins what a real checker stores: the Thm 5.1
+// linking check's entry (certificate, ten-field payload with no corpus,
+// and its content address), so a refactor of the refinement checkers or
+// of the payload codec cannot change a stored "link" entry unnoticed.
+//
 //===----------------------------------------------------------------------===//
 
 #include "cert/CertJson.h"
@@ -20,12 +25,14 @@
 #include "cert/CertKey.h"
 #include "cert/CertStore.h"
 #include "support/Json.h"
+#include "threads/Linking.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -216,5 +223,61 @@ TEST(CertGoldenTest, GoldenEntryLoadsAndRendersBackToItsBytes) {
   ASSERT_TRUE(Store.load(Key, E));
   EXPECT_EQ(CertStore::render(Key, E), Golden);
   EXPECT_EQ(E.Cert->tree(), makeGoldenEntry().Cert->tree());
+  std::filesystem::remove_all(Dir);
+}
+
+namespace {
+
+/// The store entry checkMultithreadedLinking({2, 2}) writes, captured
+/// before the three refinement checkers were folded into one.
+const char GoldenLinkEntryBytes[] =
+    "{\"certificate\":{\"coverage\":\"exhaustive\",\"coverage_complete\":tru"
+    "e,\"invariants\":0,\"module\":\"M_sched (+) M_local_queue\",\"moves\":3"
+    "0,\"notes\":[],\"obligations\":1,\"overlay\":\"Lhtd[0][Tc]\",\"premises"
+    "\":[],\"relation\":\"Rbtd\",\"rule\":\"MultithreadLink\",\"runs\":2,\"u"
+    "nderlay\":\"Lbtd[0]\",\"valid\":true},\"checker\":\"link\",\"desc\":\"T"
+    "hm 5.1 linking: 2 threads x 2 rounds\",\"key\":\"e9c28ac939ca4028\",\"p"
+    "ayload\":{\"counterexample\":\"\",\"coverage\":\"exhaustive\",\"holds\""
+    ":true,\"impl_complete\":true,\"impl_outcomes\":1,\"obligations\":1,\"sc"
+    "hedules\":2,\"spec_complete\":true,\"spec_outcomes\":1,\"states\":30},"
+    "\"schema\":1,\"version\":\"link-v1\"}\n";
+
+CertKey makeGoldenLinkKey() {
+  CertKey K;
+  K.Checker = "link";
+  K.Version = "link-v1";
+  K.Hash = 0xe9c28ac939ca4028ULL;
+  K.Desc = "Thm 5.1 linking: 2 threads x 2 rounds";
+  return K;
+}
+
+} // namespace
+
+TEST(CertGoldenTest, LinkEntryBytesMatchTheCapture) {
+  const std::string Golden(GoldenLinkEntryBytes,
+                           sizeof(GoldenLinkEntryBytes) - 1);
+  const std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) / "ccal_cert_golden_link";
+  std::filesystem::remove_all(Dir);
+  setStoreDir(Dir.string());
+  LinkingSetup Setup;
+  Setup.NumThreads = 2;
+  Setup.Rounds = 2;
+  LinkingReport Rep = checkMultithreadedLinking(Setup);
+  setStoreDir("");
+  ASSERT_TRUE(Rep.Refinement.Holds) << Rep.Refinement.Counterexample;
+
+  const CertKey Key = makeGoldenLinkKey();
+  const std::filesystem::path File = Dir / (Key.fileStem() + ".cert.json");
+  std::ifstream In(File, std::ios::binary);
+  const std::string Bytes((std::istreambuf_iterator<char>(In)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(Bytes, Golden) << File;
+
+  // The stored image is the writer's own: it loads and renders back.
+  CertStore Store(Dir.string());
+  CertStore::Entry E;
+  ASSERT_TRUE(Store.load(Key, E));
+  EXPECT_EQ(CertStore::render(Key, E), Golden);
   std::filesystem::remove_all(Dir);
 }

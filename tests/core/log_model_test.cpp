@@ -57,8 +57,9 @@ void checkAgainstModel(const Pair &P, const std::string &Ctx) {
   ASSERT_EQ(P.L.empty(), P.Ref.empty()) << Ctx;
   for (size_t I = 0; I != P.Ref.size(); ++I)
     ASSERT_EQ(P.L[I], P.Ref[I]) << Ctx << " at index " << I;
-  if (!P.Ref.empty())
+  if (!P.Ref.empty()) {
     ASSERT_EQ(P.L.back(), P.Ref.back()) << Ctx;
+  }
   // Iteration visits the same sequence as indexing.
   size_t I = 0;
   for (const Event &E : P.L)
@@ -117,8 +118,9 @@ TEST(LogModelTest, RandomOpsMatchVectorModel) {
           bool RefEq = Pop[A].Ref == Pop[B].Ref;
           ASSERT_EQ(Pop[A].L == Pop[B].L, RefEq)
               << "trial " << T << " step " << S << " pair " << A << "," << B;
-          if (RefEq)
+          if (RefEq) {
             ASSERT_EQ(hashLog(Pop[A].L), hashLog(Pop[B].L));
+          }
           ASSERT_EQ(Pop[A].L.isPrefixOf(Pop[B].L),
                     refIsPrefix(Pop[A].Ref, Pop[B].Ref))
               << "trial " << T << " step " << S << " pair " << A << "," << B;
@@ -192,13 +194,25 @@ TEST(LogModelTest, ReplayMemoDistinguishesReplayers) {
   static unsigned long long FoldsA = 0, FoldsB = 0;
   Replayer<int> A = makeSumReplayer(&FoldsA);
   Replayer<int> B(100, [](const int &S, const Event &) -> std::optional<int> {
+    ++FoldsB;
     return S - 1;
   });
   Log L = {Event(1, "add", {5}), Event(1, "add", {7})};
+  unsigned long long FirstA = 0, FirstB = 0;
   for (int Rep = 0; Rep != 4; ++Rep) {
     EXPECT_EQ(A.replay(L), std::optional<int>(12));
     EXPECT_EQ(B.replay(L), std::optional<int>(98));
+    if (Rep == 0) {
+      FirstA = FoldsA;
+      FirstB = FoldsB;
+    }
   }
+  // Each replayer folds the log once, then serves its own memo: neither
+  // re-folds on a repeat, and neither was handed the other's state.
+  EXPECT_GT(FirstA, 0u);
+  EXPECT_GT(FirstB, 0u);
+  EXPECT_EQ(FoldsA, FirstA);
+  EXPECT_EQ(FoldsB, FirstB);
 }
 
 TEST(LogModelTest, ReplayMemoStuckPrefixStaysStuck) {

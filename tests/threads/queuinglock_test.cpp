@@ -93,3 +93,48 @@ TEST(QueuingLockTest, HandoffIsFifo) {
     EXPECT_EQ(SleepOrder, WakeHoldOrder);
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Truncated threaded refinement checks fail closed
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+ThreadedExploreOptions qlockOpts() {
+  ThreadedExploreOptions Opts;
+  Opts.FairnessBound = 1u << 20;
+  Opts.MaxSteps = 1024;
+  return Opts;
+}
+
+} // namespace
+
+TEST(QueuingLockTest, ImplMaxSchedulesOneIsNotHolds) {
+  // One implementation schedule covers a prefix of the space: the check
+  // must refuse Holds and name the truncating budget.
+  QueuingLockSetup S = makeQueuingLockSetup(2, 1, 1);
+  ThreadedExploreOptions ImplOpts = qlockOpts();
+  ImplOpts.MaxSchedules = 1;
+  auto Rep = checkThreadedRefinement(S.ImplConfig, S.SpecConfig, S.RImpl,
+                                     S.RSpec, ImplOpts, qlockOpts());
+  EXPECT_FALSE(Rep.Holds);
+  EXPECT_TRUE(Rep.SpecComplete);
+  EXPECT_FALSE(Rep.ImplComplete);
+  EXPECT_NE(Rep.Coverage.find("MaxSchedules"), std::string::npos)
+      << Rep.Coverage;
+}
+
+TEST(QueuingLockTest, SpecOutcomeCapIsNotHolds) {
+  // A capped spec outcome set would turn refining implementation outcomes
+  // into false counterexamples; the check must stop before comparing.
+  QueuingLockSetup S = makeQueuingLockSetup(2, 1, 1);
+  ThreadedExploreOptions SpecOpts = qlockOpts();
+  SpecOpts.MaxStoredOutcomes = 1;
+  auto Rep = checkThreadedRefinement(S.ImplConfig, S.SpecConfig, S.RImpl,
+                                     S.RSpec, qlockOpts(), SpecOpts);
+  EXPECT_FALSE(Rep.Holds);
+  EXPECT_FALSE(Rep.SpecComplete);
+  EXPECT_FALSE(Rep.ImplComplete);
+  EXPECT_NE(Rep.Coverage.find("MaxStoredOutcomes"), std::string::npos)
+      << Rep.Coverage;
+}

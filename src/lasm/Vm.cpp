@@ -4,6 +4,7 @@
 
 #include "core/Log.h"
 #include "support/Check.h"
+#include "support/IntArith.h"
 #include "support/Text.h"
 
 using namespace ccal;
@@ -177,13 +178,13 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       break;
     }
     case Opcode::Add:
-      Binary([](std::int64_t A, std::int64_t B) { return A + B; });
+      Binary([](std::int64_t A, std::int64_t B) { return wrapAdd(A, B); });
       break;
     case Opcode::Sub:
-      Binary([](std::int64_t A, std::int64_t B) { return A - B; });
+      Binary([](std::int64_t A, std::int64_t B) { return wrapSub(A, B); });
       break;
     case Opcode::Mul:
-      Binary([](std::int64_t A, std::int64_t B) { return A * B; });
+      Binary([](std::int64_t A, std::int64_t B) { return wrapMul(A, B); });
       break;
     case Opcode::Div:
     case Opcode::Mod: {
@@ -194,7 +195,8 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
         trap("division by zero");
         break;
       }
-      Frames.back().Stack.push_back(I.Op == Opcode::Div ? A / B : A % B);
+      Frames.back().Stack.push_back(I.Op == Opcode::Div ? wrapDiv(A, B)
+                                                        : wrapRem(A, B));
       break;
     }
     case Opcode::Eq:
@@ -226,7 +228,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       std::int64_t V;
       if (!pop(V))
         break;
-      Frames.back().Stack.push_back(-V);
+      Frames.back().Stack.push_back(wrapNeg(V));
       break;
     }
     case Opcode::Jmp:

@@ -5,8 +5,6 @@
 #include "support/Check.h"
 #include "support/Text.h"
 
-#include <set>
-
 using namespace ccal;
 
 HardwareMachine::HardwareMachine(MachineConfigPtr CfgIn)
@@ -39,22 +37,10 @@ bool HardwareMachine::allIdle() const {
 std::vector<ThreadId> HardwareMachine::schedulable() const {
   std::vector<ThreadId> Out;
   for (const auto &[Id, C] : Cpus) {
-    if (C.Done)
-      continue;
-    if (C.AtPrim) {
-      const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-      if (P && P->Shared) {
-        PrimCall Call;
-        Call.Tid = Id;
-        Call.Args = C.Machine.primArgs();
-        Call.L = &GlobalLog;
-        Call.LocalMem = &C.Globals;
-        std::optional<PrimResult> Res = P->Sem(Call);
-        if (Res && Res->Blocked)
-          continue;
-      }
-    }
-    Out.push_back(Id);
+    if (!C.Done &&
+        !(C.AtPrim && sharedPrimBlocked(*Cfg->Layer, Id, C.Machine,
+                                        GlobalLog, C.Globals)))
+      Out.push_back(Id);
   }
   return Out;
 }
@@ -68,11 +54,7 @@ bool HardwareMachine::step(ThreadId Id) {
   CCAL_CHECK(!C.Done, "step: CPU has no work left");
 
   const std::vector<CpuWorkItem> &Items = Cfg->Work.at(Id);
-  if (!C.Active) {
-    const CpuWorkItem &Item = Items[C.NextWork];
-    C.Machine.start(Item.Fn, Item.Args);
-    C.Active = true;
-  }
+  C.startNext(Items);
 
   if (C.AtPrim) {
     const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
@@ -81,12 +63,8 @@ bool HardwareMachine::step(ThreadId Id) {
                     "' not provided by layer " + Cfg->Layer->name());
       return false;
     }
-    PrimCall Call;
-    Call.Tid = Id;
-    Call.Args = C.Machine.primArgs();
-    Call.L = &GlobalLog;
-    Call.LocalMem = &C.Globals;
-    std::optional<PrimResult> Res = P->Sem(Call);
+    std::optional<PrimResult> Res =
+        callPrim(*P, Id, C.Machine, GlobalLog, C.Globals);
     if (!Res) {
       fault(Id, "primitive '" + P->Name + "' got stuck");
       return false;
@@ -95,12 +73,7 @@ bool HardwareMachine::step(ThreadId Id) {
     CCAL_CHECK(P->Shared || Res->Events.empty(),
                "private primitives must not emit events");
     logAppendAll(GlobalLog, Res->Events);
-    for (auto [Addr, V] : Res->LocalWrites) {
-      CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < C.Globals.size(),
-                 "primitive local write out of range");
-      C.Globals[static_cast<size_t>(Addr)] = V;
-    }
-    C.Machine.resumePrim(Res->Ret);
+    returnFromPrim(*Res, C.Machine, C.Globals);
     C.AtPrim = false;
     return true;
   }
@@ -119,10 +92,8 @@ bool HardwareMachine::step(ThreadId Id) {
     return true;
   }
   CCAL_CHECK(St == Vm::Status::Done, "unexpected VM status");
-  C.Returns.push_back(C.Machine.result());
-  C.Active = false;
-  if (++C.NextWork >= Items.size())
-    C.Done = true;
+  C.finishItem();
+  C.Done = C.NextWork >= Items.size();
   return true;
 }
 
@@ -142,122 +113,20 @@ Footprint HardwareMachine::eventFootprint(const Event &E) const {
   return Cfg->Layer->footprintOf(E.Kind);
 }
 
-std::map<ThreadId, std::vector<std::int64_t>>
-HardwareMachine::returns() const {
-  std::map<ThreadId, std::vector<std::int64_t>> Out;
-  for (const auto &[Id, C] : Cpus)
-    Out.emplace(Id, C.Returns);
-  return Out;
-}
-
-MulticoreLinkReport ccal::checkMulticoreLinking(MachineConfigPtr Cfg,
-                                                unsigned FairnessBound,
-                                                std::uint64_t MaxSchedules,
-                                                bool CheckExactness) {
-  MulticoreLinkReport Report;
-
-  // Layer machine (query-point interleaving): the small side; collect.
+ContextualRefinementReport
+ccal::checkMulticoreLinking(MachineConfigPtr Cfg, unsigned FairnessBound,
+                            std::uint64_t MaxSchedules) {
+  // Layer machine (query-point interleaving): the spec side, with no
+  // spinning assumed at this level.
   ExploreOptions LayerOpts;
-  LayerOpts.FairnessBound = 1u << 20; // no spinning assumed at this level
+  LayerOpts.FairnessBound = 1u << 20;
   LayerOpts.MaxSchedules = MaxSchedules;
-  ExploreResult LayerRes = exploreMachine(Cfg, LayerOpts);
-  if (!LayerRes.Ok) {
-    Report.Counterexample = "layer machine violation: " + LayerRes.Violation;
-    return Report;
-  }
-  // A capped layer outcome set would make genuine hardware outcomes look
-  // inadmissible; fail closed before comparing.
-  if (!LayerRes.Complete) {
-    Report.Coverage =
-        "layer exploration truncated: " + LayerRes.Truncation;
-    Report.Counterexample =
-        "layer-machine exploration is incomplete (" + LayerRes.Truncation +
-        "): the admitted outcome set may be silently capped; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.LayerComplete = true;
-
-  OutcomeSet LayerSet;
-  for (const Outcome &O : LayerRes.Outcomes)
-    LayerSet.insert(O);
-
-  // Hardware machine (instruction interleaving): stream and match.
-  std::uint64_t HwOutcomes = 0, Obligations = 0;
-  OutcomeSet HwSet;
+  // Hardware machine (instruction interleaving): the impl side.
   GenericExploreOptions<HardwareMachine> HwOpts;
   HwOpts.FairnessBound = FairnessBound;
   HwOpts.MaxSchedules = MaxSchedules;
   HwOpts.MaxSteps = 65536;
-  HwOpts.OnOutcome = [&](const Outcome &O) -> std::string {
-    ++HwOutcomes;
-    HwSet.insert(O);
-    if (!LayerSet.contains(O))
-      return strFormat("hardware outcome not admitted by the layer "
-                       "machine\n  log: %s",
-                       logToString(O.FinalLog).c_str());
-    ++Obligations;
-    return "";
-  };
-  HardwareMachine Root(Cfg);
-  ExploreResult HwRes = exploreGeneric(Root, HwOpts);
-
-  Report.HardwareSchedules = HwRes.SchedulesExplored;
-  Report.LayerSchedules = LayerRes.SchedulesExplored;
-  Report.HardwareOutcomes = HwOutcomes;
-  Report.LayerOutcomes = LayerRes.Outcomes.size();
-  Report.ObligationsChecked = Obligations;
-  if (!HwRes.Ok) {
-    Report.Counterexample =
-        "hardware machine violation: " + HwRes.Violation;
-    return Report;
-  }
-  // Thm 3.1 quantifies over every hardware schedule; a truncated sweep
-  // checked only a prefix of them, so it must not report Holds.
-  if (!HwRes.Complete) {
-    Report.Coverage =
-        "hardware exploration truncated: " + HwRes.Truncation;
-    Report.Counterexample =
-        "hardware-machine exploration is incomplete (" + HwRes.Truncation +
-        "): only a prefix of the instruction interleavings was checked; "
-        "raise the truncating budget and re-run";
-    return Report;
-  }
-  Report.HardwareComplete = true;
-  Report.Coverage = "exhaustive";
-  // Sanity bonus: the reduction loses nothing — every layer outcome is
-  // also a hardware outcome.  A hardware fairness bound tighter than the
-  // layer machine's can legitimately miss layer outcomes, so this
-  // direction stays opt-in; Thm 3.1 itself is the forward inclusion
-  // checked above.
-  if (CheckExactness) {
-    for (const Outcome &O : LayerRes.Outcomes)
-      if (!HwSet.contains(O)) {
-        Report.Counterexample =
-            "layer outcome unreachable on hardware\n  log: " +
-            logToString(O.FinalLog);
-        return Report;
-      }
-  }
-  Report.Holds = true;
-  return Report;
-}
-
-CertPtr
-ccal::makeMulticoreLinkCertificate(const std::string &MachineName,
-                                   const MulticoreLinkReport &Report) {
-  auto C = std::make_shared<RefinementCertificate>();
-  C->Rule = "MulticoreLink";
-  C->Underlay = "Mx86(" + MachineName + ")";
-  C->Module = "(hardware scheduling)";
-  C->Overlay = "Lx86[D](" + MachineName + ")";
-  C->Relation = "id";
-  C->CoverageComplete = Report.HardwareComplete && Report.LayerComplete;
-  C->Coverage = Report.Coverage;
-  C->Valid = Report.Holds && C->CoverageComplete;
-  C->Obligations = Report.ObligationsChecked;
-  C->Runs = Report.HardwareSchedules + Report.LayerSchedules;
-  if (!Report.Holds)
-    C->Notes.push_back(Report.Counterexample);
-  return C;
+  return checkRefinement(HardwareMachine(Cfg), MultiCoreMachine(Cfg),
+                         nullptr, nullptr, std::move(HwOpts), LayerOpts,
+                         MulticoreLinkWording);
 }

@@ -25,8 +25,8 @@
 #ifndef CCAL_MACHINE_HARDWAREMACHINE_H
 #define CCAL_MACHINE_HARDWAREMACHINE_H
 
-#include "core/Certificate.h"
-#include "machine/Explorer.h"
+#include "machine/Participant.h"
+#include "machine/Soundness.h"
 
 namespace ccal {
 
@@ -49,7 +49,9 @@ public:
   bool step(ThreadId C);
 
   const Log &log() const { return GlobalLog; }
-  std::map<ThreadId, std::vector<std::int64_t>> returns() const;
+  std::map<ThreadId, std::vector<std::int64_t>> returns() const {
+    return returnsOf(Cpus);
+  }
 
   /// Declared footprint of CPU \p C's next hardware cycle.  A single
   /// instruction and a private primitive touch only CPU-local state, so
@@ -64,17 +66,13 @@ public:
   Footprint eventFootprint(const Event &E) const;
 
 private:
-  struct Cpu {
-    Vm Machine;
+  struct Cpu : Participant {
     std::vector<std::int64_t> Globals;
-    size_t NextWork = 0;
-    bool Active = false;
     bool AtPrim = false; ///< parked at a primitive (private or shared)
     bool Done = false;
-    std::vector<std::int64_t> Returns;
 
     Cpu(AsmProgramPtr P, std::vector<std::int64_t> G)
-        : Machine(std::move(P)), Globals(std::move(G)) {}
+        : Participant(std::move(P)), Globals(std::move(G)) {}
   };
 
   void fault(ThreadId Id, const std::string &Msg);
@@ -85,41 +83,15 @@ private:
   std::string Err;
 };
 
-/// Outcome of the Thm 3.1 check.
-struct MulticoreLinkReport {
-  /// True only when the forward inclusion held on an EXHAUSTIVE sweep of
-  /// both machines; truncation never reports Holds.
-  bool Holds = false;
-
-  /// Per-side completion flags and a coverage note — see
-  /// ContextualRefinementReport.
-  bool HardwareComplete = false;
-  bool LayerComplete = false;
-  std::string Coverage;
-
-  std::uint64_t HardwareSchedules = 0;
-  std::uint64_t LayerSchedules = 0;
-  std::uint64_t HardwareOutcomes = 0;
-  std::uint64_t LayerOutcomes = 0;
-  std::uint64_t ObligationsChecked = 0;
-  std::string Counterexample;
-};
-
 /// Checks `[[P]]Mx86 <= [[P]]Lx86[D]` for the program/workload in \p Cfg:
 /// every instruction-granularity outcome must be a query-point outcome.
-/// With \p CheckExactness, additionally requires the reverse inclusion
-/// (the reduction loses nothing); that needs an exhaustive hardware sweep
-/// with a fairness bound at least as long as the longest local stretch
-/// between query points, so it is opt-in.
-MulticoreLinkReport checkMulticoreLinking(MachineConfigPtr Cfg,
-                                          unsigned FairnessBound = 4,
-                                          std::uint64_t MaxSchedules
-                                          = 1u << 22,
-                                          bool CheckExactness = false);
-
-/// Wraps a successful report into a "MulticoreLink" certificate.
-CertPtr makeMulticoreLinkCertificate(const std::string &MachineName,
-                                     const MulticoreLinkReport &Report);
+/// The hardware machine is the impl side (FairnessBound and MaxSteps
+/// 65536), the layer machine the spec side (no fairness pruning); both
+/// share MaxSchedules, and the relation is the identity.
+ContextualRefinementReport checkMulticoreLinking(MachineConfigPtr Cfg,
+                                                 unsigned FairnessBound = 4,
+                                                 std::uint64_t MaxSchedules
+                                                 = 1u << 22);
 
 } // namespace ccal
 

@@ -29,65 +29,20 @@ void MultiCoreMachine::fault(ThreadId Id, const std::string &Msg) {
 }
 
 bool MultiCoreMachine::advance(Cpu &C, ThreadId Id) {
-  const std::vector<CpuWorkItem> &Items = Cfg->Work.at(Id);
-  std::uint64_t PrivateCalls = 0;
-  while (true) {
-    if (++PrivateCalls > Cfg->SliceBudget) {
-      fault(Id, "local slice diverged (private-primitive loop?)");
-      return false;
-    }
-    if (!C.Active) {
-      if (C.NextWork >= Items.size()) {
-        C.Phase = CpuPhase::Idle;
-        return true;
-      }
-      const CpuWorkItem &Item = Items[C.NextWork];
-      C.Machine.start(Item.Fn, Item.Args);
-      C.Active = true;
-    }
-    Vm::Status St = C.Machine.run(C.Globals, Cfg->SliceBudget);
-    if (St == Vm::Status::Done) {
-      C.Returns.push_back(C.Machine.result());
-      C.Active = false;
-      ++C.NextWork;
-      continue;
-    }
-    if (St == Vm::Status::Error) {
-      fault(Id, C.Machine.error());
-      return false;
-    }
-    CCAL_CHECK(St == Vm::Status::AtPrim, "unexpected VM status");
-    const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-    if (!P) {
-      fault(Id, "call to primitive '" + C.Machine.primName() +
-                    "' not provided by layer " + Cfg->Layer->name());
-      return false;
-    }
-    if (P->Shared) {
-      C.Phase = CpuPhase::AtShared;
-      return true;
-    }
-    // Private primitive: silent, executed immediately.
-    PrimCall Call;
-    Call.Tid = Id;
-    Call.Args = C.Machine.primArgs();
-    Call.L = &GlobalLog;
-    Call.LocalMem = &C.Globals;
-    std::optional<PrimResult> Res = P->Sem(Call);
-    if (!Res) {
-      fault(Id, "private primitive '" + P->Name + "' got stuck");
-      return false;
-    }
-    CCAL_CHECK(Res->Events.empty(),
-               "private primitives must not emit events");
-    for (auto [Addr, V] : Res->LocalWrites) {
-      CCAL_CHECK(Addr >= 0 &&
-                     static_cast<size_t>(Addr) < C.Globals.size(),
-                 "primitive local write out of range");
-      C.Globals[static_cast<size_t>(Addr)] = V;
-    }
-    C.Machine.resumePrim(Res->Ret);
+  std::string Why;
+  switch (C.runSlice(Id, Cfg->Work.at(Id), C.Globals, *Cfg->Layer, GlobalLog,
+                     Cfg->SliceBudget, Why)) {
+  case SliceEnd::AtShared:
+    C.Phase = CpuPhase::AtShared;
+    return true;
+  case SliceEnd::Finished:
+    C.Phase = CpuPhase::Idle;
+    return true;
+  case SliceEnd::Faulted:
+    break;
   }
+  fault(Id, Why);
+  return false;
 }
 
 bool MultiCoreMachine::allIdle() const {
@@ -100,24 +55,9 @@ bool MultiCoreMachine::allIdle() const {
 std::vector<ThreadId> MultiCoreMachine::schedulable() const {
   std::vector<ThreadId> Out;
   for (const auto &[Id, C] : Cpus) {
-    if (C.Phase != CpuPhase::AtShared)
-      continue;
-    // A CPU whose pending primitive is currently Blocked (an atomic
-    // blocking spec such as acq on a held lock) is not schedulable until
-    // the log grows; primitives are deterministic in the log, so this
-    // dry run is exact.
-    const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-    if (P && P->Shared) {
-      PrimCall Call;
-      Call.Tid = Id;
-      Call.Args = C.Machine.primArgs();
-      Call.L = &GlobalLog;
-      Call.LocalMem = &C.Globals;
-      std::optional<PrimResult> Res = P->Sem(Call);
-      if (Res && Res->Blocked)
-        continue;
-    }
-    Out.push_back(Id);
+    if (C.Phase == CpuPhase::AtShared &&
+        !sharedPrimBlocked(*Cfg->Layer, Id, C.Machine, GlobalLog, C.Globals))
+      Out.push_back(Id);
   }
   return Out;
 }
@@ -189,12 +129,8 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     CCAL_CHECK(Variant == 0, "step: sc model has a single variant");
   }
 
-  PrimCall Call;
-  Call.Tid = Id;
-  Call.Args = C.Machine.primArgs();
-  Call.L = Visible ? &*Visible : &GlobalLog;
-  Call.LocalMem = &C.Globals;
-  std::optional<PrimResult> Res = P->Sem(Call);
+  std::optional<PrimResult> Res = callPrim(
+      *P, Id, C.Machine, Visible ? *Visible : GlobalLog, C.Globals);
   if (!Res) {
     fault(Id, "shared primitive '" + P->Name +
                   "' got stuck (data race or protocol violation); log: " +
@@ -211,27 +147,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
   if (Weak)
     model().commit(Ra, GlobalLog, FirstNew, Id, Foot, Variant,
                    [this](KindId K) { return Cfg->Layer->footprintOf(K); });
-  for (auto [Addr, V] : Res->LocalWrites) {
-    CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < C.Globals.size(),
-               "primitive local write out of range");
-    C.Globals[static_cast<size_t>(Addr)] = V;
-  }
-  C.Machine.resumePrim(Res->Ret);
-  ++StepsTaken;
+  returnFromPrim(*Res, C.Machine, C.Globals);
   return advance(C, Id);
 }
 
-std::map<ThreadId, std::vector<std::int64_t>>
-MultiCoreMachine::returns() const {
-  std::map<ThreadId, std::vector<std::int64_t>> Out;
-  for (const auto &[Id, C] : Cpus)
-    Out.emplace(Id, C.Returns);
-  return Out;
-}
-
-const std::vector<std::int64_t> &
-MultiCoreMachine::cpuMemory(ThreadId C) const {
-  auto It = Cpus.find(C);
-  CCAL_CHECK(It != Cpus.end(), "unknown CPU");
-  return It->second.Globals;
-}

@@ -27,9 +27,8 @@
 #ifndef CCAL_MACHINE_MULTICORE_H
 #define CCAL_MACHINE_MULTICORE_H
 
-#include "core/LayerInterface.h"
-#include "lasm/Vm.h"
 #include "machine/MemoryModel.h"
+#include "machine/Participant.h"
 
 #include <map>
 #include <memory>
@@ -37,12 +36,6 @@
 #include <vector>
 
 namespace ccal {
-
-/// One client call a CPU performs, in order.
-struct CpuWorkItem {
-  std::string Fn;
-  std::vector<std::int64_t> Args;
-};
 
 /// Immutable description of a machine run: the underlay interface, the
 /// linked program every CPU executes, and each CPU's client workload.
@@ -101,10 +94,9 @@ public:
   const Log &log() const { return GlobalLog; }
 
   /// Per-CPU return values of completed work items, in order.
-  std::map<ThreadId, std::vector<std::int64_t>> returns() const;
-
-  /// CPU \p C's local memory image.
-  const std::vector<std::int64_t> &cpuMemory(ThreadId C) const;
+  std::map<ThreadId, std::vector<std::int64_t>> returns() const {
+    return returnsOf(Cpus);
+  }
 
   /// Name of the shared primitive CPU \p C is parked at ("" when none).
   /// Returns a reference into interned storage — no allocation per query.
@@ -128,9 +120,6 @@ public:
   /// machine state.
   Footprint eventFootprint(const Event &E) const;
 
-  /// Total shared-primitive steps executed so far.
-  std::uint64_t stepsTaken() const { return StepsTaken; }
-
 private:
   enum class CpuPhase {
     Idle,     ///< workload finished
@@ -138,16 +127,12 @@ private:
     Faulted,
   };
 
-  struct Cpu {
-    Vm Machine;
+  struct Cpu : Participant {
     std::vector<std::int64_t> Globals;
-    size_t NextWork = 0;
-    bool Active = false; ///< a work item is running in the VM
     CpuPhase Phase = CpuPhase::Idle;
-    std::vector<std::int64_t> Returns;
 
     Cpu(AsmProgramPtr P, std::vector<std::int64_t> G)
-        : Machine(std::move(P)), Globals(std::move(G)) {}
+        : Participant(std::move(P)), Globals(std::move(G)) {}
   };
 
   /// Runs CPU \p Id's local code (instructions + private primitives) until
@@ -167,7 +152,6 @@ private:
   /// pre-model machine.
   RaState Ra;
   std::string Err;
-  std::uint64_t StepsTaken = 0;
 };
 
 } // namespace ccal

@@ -16,7 +16,84 @@ namespace {
 /// old semantics must miss, not lie.
 const char RefineCheckerVersion[] = "refine-v1";
 
-JsonValue refinementToPayload(const ContextualRefinementReport &R) {
+std::string refinementMismatch(const Log &ImplLog, const Log &Mapped) {
+  return strFormat("no specification behavior matches implementation "
+                   "outcome\n  impl log:   %s\n  mapped (R): %s",
+                   logToString(ImplLog).c_str(),
+                   logToString(Mapped).c_str());
+}
+
+std::string linkMismatch(const Log &ImplLog, const Log &) {
+  return strFormat("hardware outcome not admitted by the layer machine\n"
+                   "  log: %s",
+                   logToString(ImplLog).c_str());
+}
+
+const RefinementWording::Side ImplementationSide = {
+    "implementation", "impl", "implementation",
+    "only a prefix of the schedule space was matched"};
+
+} // namespace
+
+const RefinementWording ccal::ContextualRefinementWording = {
+    {"specification", "spec", "specification",
+     "the spec outcome set may be silently capped, so any mismatch below "
+     "would be a false counterexample and any match proves nothing"},
+    ImplementationSide,
+    refinementMismatch};
+
+const RefinementWording ccal::ThreadedRefinementWording = {
+    {"specification", "spec", "specification",
+     "the spec outcome set may be silently capped"},
+    ImplementationSide,
+    refinementMismatch};
+
+const RefinementWording ccal::MulticoreLinkWording = {
+    {"layer", "layer", "layer-machine",
+     "the admitted outcome set may be silently capped"},
+    {"hardware", "hardware", "hardware-machine",
+     "only a prefix of the instruction interleavings was checked"},
+    linkMismatch};
+
+bool ccal::detail::acceptSweep(ContextualRefinementReport &Report,
+                               const ExploreResult &Res,
+                               const RefinementWording::Side &S) {
+  if (!Res.Ok) {
+    Report.Counterexample =
+        std::string(S.Machine) + " machine violation: " + Res.Violation;
+    return false;
+  }
+  if (!Res.Complete) {
+    Report.Coverage =
+        std::string(S.Coverage) + " exploration truncated: " + Res.Truncation;
+    Report.Counterexample = std::string(S.Sweep) +
+                            " exploration is incomplete (" + Res.Truncation +
+                            "): " + S.Gap +
+                            "; raise the truncating budget and re-run";
+    return false;
+  }
+  return true;
+}
+
+void ccal::detail::publishRefinementMetrics(
+    const ContextualRefinementReport &Report, const char *CheckCounter) {
+  if (!obs::enabled())
+    return;
+  obs::counterAdd(CheckCounter, 1);
+  obs::counterAdd("refine.obligations_discharged",
+                  Report.ObligationsChecked);
+  obs::counterAdd("refine.impl_outcomes", Report.ImplOutcomes);
+  obs::counterAdd("refine.spec_outcomes", Report.SpecOutcomes);
+  if (Report.Holds)
+    obs::counterAdd("refine.holds", 1);
+  if (!Report.SpecComplete || !Report.ImplComplete) {
+    obs::counterAdd("refine.truncated", 1);
+    obs::traceInstant("refine.truncation: " + Report.Coverage, "refine");
+  }
+}
+
+JsonValue ccal::refinementToPayload(const ContextualRefinementReport &R,
+                                    bool WithCorpus) {
   JsonValue V;
   V.K = JsonValue::Kind::Object;
   V.Fields["holds"] = jsonBool(R.Holds);
@@ -29,12 +106,14 @@ JsonValue refinementToPayload(const ContextualRefinementReport &R) {
   V.Fields["schedules"] = jsonUInt(R.SchedulesExplored);
   V.Fields["states"] = jsonUInt(R.StatesExplored);
   V.Fields["counterexample"] = jsonStr(R.Counterexample);
-  V.Fields["corpus"] = cert::logsToJson(R.Corpus);
+  if (WithCorpus)
+    V.Fields["corpus"] = cert::logsToJson(R.Corpus);
   return V;
 }
 
-bool refinementFromPayload(const JsonValue &V,
-                           ContextualRefinementReport &R) {
+bool ccal::refinementFromPayload(const JsonValue &V,
+                                 ContextualRefinementReport &R,
+                                 bool WithCorpus) {
   const JsonValue *Holds = V.field("holds");
   const JsonValue *SpecC = V.field("spec_complete");
   const JsonValue *ImplC = V.field("impl_complete");
@@ -49,8 +128,8 @@ bool refinementFromPayload(const JsonValue &V,
   if (!Holds || !Holds->isBool() || !SpecC || !SpecC->isBool() || !ImplC ||
       !ImplC->isBool() || !Cov || !Cov->isString() || !IO || !IO->IsInt ||
       !SO || !SO->IsInt || !Ob || !Ob->IsInt || !Sch || !Sch->IsInt ||
-      !St || !St->IsInt || !Cex || !Cex->isString() || !Corpus ||
-      !cert::logsFromJson(*Corpus, R.Corpus))
+      !St || !St->IsInt || !Cex || !Cex->isString() ||
+      (WithCorpus && (!Corpus || !cert::logsFromJson(*Corpus, R.Corpus))))
     return false;
   R.Holds = Holds->BoolVal;
   R.SpecComplete = SpecC->BoolVal;
@@ -65,155 +144,27 @@ bool refinementFromPayload(const JsonValue &V,
   return true;
 }
 
-} // namespace
-
-namespace {
-
-/// Publishes one refinement check's aggregates; the Explorer has already
-/// published the per-exploration counters underneath.
-void publishRefinementMetrics(const ContextualRefinementReport &Report) {
-  if (!obs::enabled())
-    return;
-  obs::counterAdd("refine.checks", 1);
-  obs::counterAdd("refine.obligations_discharged",
-                  Report.ObligationsChecked);
-  obs::counterAdd("refine.impl_outcomes", Report.ImplOutcomes);
-  obs::counterAdd("refine.spec_outcomes", Report.SpecOutcomes);
-  if (Report.Holds)
-    obs::counterAdd("refine.holds", 1);
-  if (!Report.SpecComplete || !Report.ImplComplete) {
-    obs::counterAdd("refine.truncated", 1);
-    obs::traceInstant("refine.truncation: " + Report.Coverage, "refine");
-  }
-}
-
-} // namespace
-
-namespace {
-
-ContextualRefinementReport checkContextualRefinementImpl(
-    MachineConfigPtr Impl, MachineConfigPtr Spec, const EventMap &R,
-    const ExploreOptions &ImplOpts, const ExploreOptions &SpecOpts) {
-  ContextualRefinementReport Report;
-
-  // When either side runs under the partial-order reduction, outcome logs
-  // on that side are canonical trace forms; the other side's must be
-  // canonicalized the same way (over the SPEC layer's footprints — both
-  // keys are spec-level logs after R) or nothing would ever match.
-  // Canonicalizing both sides unconditionally in that case keeps the
-  // comparison symmetric; with honest spec footprints logs with equal
-  // canonical forms are observationally equivalent, so this never accepts
-  // an outcome full comparison would reject.
-  LayerPtr SpecLayer = Spec->Layer;
-  const bool Canon = ImplOpts.Por || SpecOpts.Por;
-  auto CanonSpecLog = [&SpecLayer, Canon](Log L) {
-    if (!Canon)
-      return L;
-    return canonicalizeLog(L, [&SpecLayer](KindId Kind) {
-      return SpecLayer->footprintOf(Kind);
-    });
-  };
-
-  ExploreResult SpecRes = [&] {
-    obs::Span SpecSpan("refine.spec_explore", "refine");
-    return exploreMachine(std::move(Spec), SpecOpts);
-  }();
-  if (!SpecRes.Ok) {
-    Report.Counterexample =
-        "specification machine violation: " + SpecRes.Violation;
-    return Report;
-  }
-  // A truncated spec sweep is worse than inconclusive: a capped outcome
-  // set (MaxStoredOutcomes) makes genuinely-refining implementation
-  // outcomes look like counterexamples.  Fail closed before comparing.
-  if (!SpecRes.Complete) {
-    Report.Coverage = "spec exploration truncated: " + SpecRes.Truncation;
-    Report.Counterexample =
-        "specification exploration is incomplete (" + SpecRes.Truncation +
-        "): the spec outcome set may be silently capped, so any mismatch "
-        "below would be a false counterexample and any match proves "
-        "nothing; raise the truncating budget and re-run";
-    return Report;
-  }
-  Report.SpecComplete = true;
-
-  OutcomeSet SpecSet;
-  for (const Outcome &O : SpecRes.Outcomes) {
-    Outcome Key;
-    Key.FinalLog = CanonSpecLog(O.FinalLog);
-    Key.Returns = O.Returns;
-    SpecSet.insert(Key);
-  }
-
-  // Stream implementation outcomes through the matcher instead of storing
-  // them: large schedule spaces would not fit in memory otherwise.
-  std::uint64_t ImplOutcomes = 0, Obligations = 0;
-  ExploreOptions ImplOptsCorpus = ImplOpts;
-  ImplOptsCorpus.CollectCorpus = true;
-  ImplOptsCorpus.OnOutcome = [&](const Outcome &O) -> std::string {
-    ++ImplOutcomes;
-    Log Mapped = R.apply(O.FinalLog);
-    Outcome Key;
-    Key.FinalLog = CanonSpecLog(Mapped);
-    Key.Returns = O.Returns;
-    if (!SpecSet.contains(Key))
-      return strFormat(
-          "no specification behavior matches implementation outcome\n"
-          "  impl log:   %s\n  mapped (R): %s",
-          logToString(O.FinalLog).c_str(), logToString(Mapped).c_str());
-    ++Obligations;
-    return "";
-  };
-  ExploreResult ImplRes = [&] {
-    obs::Span ImplSpan("refine.impl_explore", "refine");
-    return exploreMachine(std::move(Impl), ImplOptsCorpus);
-  }();
-  Report.ImplOutcomes = ImplOutcomes;
-  Report.SpecOutcomes = SpecRes.Outcomes.size();
-  Report.SchedulesExplored =
-      ImplRes.SchedulesExplored + SpecRes.SchedulesExplored;
-  Report.StatesExplored = ImplRes.StatesExplored + SpecRes.StatesExplored;
-  Report.ObligationsChecked = Obligations;
-  Report.Corpus = std::move(ImplRes.Corpus);
-  if (!ImplRes.Ok) {
-    Report.Counterexample =
-        "implementation machine violation: " + ImplRes.Violation;
-    return Report;
-  }
-  // Obligations cover only the explored prefix of a truncated sweep; the
-  // refinement statement quantifies over every schedule, so Holds must
-  // stay false.
-  if (!ImplRes.Complete) {
-    Report.Coverage = "impl exploration truncated: " + ImplRes.Truncation;
-    Report.Counterexample =
-        "implementation exploration is incomplete (" + ImplRes.Truncation +
-        "): only a prefix of the schedule space was matched; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.ImplComplete = true;
-  Report.Coverage = "exhaustive";
-  Report.Holds = true;
-  return Report;
-}
-
-} // namespace
-
 ContextualRefinementReport ccal::checkContextualRefinement(
     MachineConfigPtr Impl, MachineConfigPtr Spec, const EventMap &R,
     const ExploreOptions &ImplOpts, const ExploreOptions &SpecOpts) {
   obs::Span CheckSpan("refine.check", "refine");
 
+  auto Check = [&] {
+    ExploreOptions Collect = ImplOpts;
+    Collect.CollectCorpus = true;
+    ContextualRefinementReport Report = checkRefinement(
+        MultiCoreMachine(Impl), MultiCoreMachine(Spec), &R, nullptr,
+        std::move(Collect), SpecOpts, ContextualRefinementWording);
+    detail::publishRefinementMetrics(Report, "refine.checks");
+    return Report;
+  };
+
   // Load-or-recheck front-end.  Uncacheable checks — store disabled, or
   // an anonymous invariant the key cannot see — run exactly as before.
   cert::CertStore *Store = cert::store();
   if (!Store || !cert::cacheableOptions(ImplOpts) ||
-      !cert::cacheableOptions(SpecOpts)) {
-    ContextualRefinementReport Report = checkContextualRefinementImpl(
-        std::move(Impl), std::move(Spec), R, ImplOpts, SpecOpts);
-    publishRefinementMetrics(Report);
-    return Report;
-  }
+      !cert::cacheableOptions(SpecOpts))
+    return Check();
 
   cert::CertKey Key;
   Key.Checker = "refine";
@@ -231,17 +182,15 @@ ContextualRefinementReport ccal::checkContextualRefinement(
   bool Hit = Store->getOrCheck(
       Key,
       [&](const cert::CertStore::Entry &E) {
-        return refinementFromPayload(E.Payload, Report);
+        return refinementFromPayload(E.Payload, Report, /*WithCorpus=*/true);
       },
       [&] {
-        Report = checkContextualRefinementImpl(Impl, Spec, R, ImplOpts,
-                                               SpecOpts);
-        publishRefinementMetrics(Report);
+        Report = Check();
         cert::CertStore::Entry Out;
         Out.Cert = makeMachineCertificate("Soundness", Impl->Layer->name(),
                                           Impl->Name, Spec->Layer->name(),
                                           R, Report);
-        Out.Payload = refinementToPayload(Report);
+        Out.Payload = refinementToPayload(Report, /*WithCorpus=*/true);
         return Out;
       });
   // A hit re-runs nothing: only the check-happened counter moves, never

@@ -32,14 +32,6 @@ void ThreadedMachine::fault(ThreadId Tid, const std::string &Msg) {
     Err = strFormat("thread %u: %s", Tid, Msg.c_str());
 }
 
-std::optional<std::int64_t> ThreadedMachine::currentOf(ThreadId Cpu) const {
-  std::optional<SchedView> View = Cfg->Sched(GlobalLog);
-  if (!View)
-    return std::nullopt;
-  auto It = View->Current.find(Cpu);
-  return It == View->Current.end() ? -1 : It->second;
-}
-
 bool ThreadedMachine::settle() {
   // Iterate until no CPU makes progress: a thread exit or resched event
   // changes the scheduler view of its own CPU only, but a wakeup executed
@@ -97,7 +89,6 @@ bool ThreadedMachine::settle() {
 }
 
 bool ThreadedMachine::runThread(ThreadId Tid, Thr &T) {
-  std::vector<std::int64_t> &Globals = CpuMem.at(T.Cpu);
   const std::vector<CpuWorkItem> *Items = nullptr;
   for (const ThreadSpec &TS : Cfg->Threads)
     if (TS.Tid == Tid)
@@ -105,63 +96,21 @@ bool ThreadedMachine::runThread(ThreadId Tid, Thr &T) {
   CCAL_CHECK(Items, "thread spec must exist");
 
   T.NeedsRun = false;
-  std::uint64_t PrivateCalls = 0;
-  while (true) {
-    if (++PrivateCalls > Cfg->SliceBudget) {
-      fault(Tid, "local slice diverged (private-primitive loop?)");
-      return false;
-    }
-    if (!T.Active) {
-      if (T.NextWork >= Items->size()) {
-        T.Exited = true;
-        logAppend(GlobalLog, Event(Tid, ThreadExitEventKind));
-        return true;
-      }
-      const CpuWorkItem &Item = (*Items)[T.NextWork];
-      T.Machine.start(Item.Fn, Item.Args);
-      T.Active = true;
-    }
-    Vm::Status St = T.Machine.run(Globals, Cfg->SliceBudget);
-    if (St == Vm::Status::Done) {
-      T.Returns.push_back(T.Machine.result());
-      T.Active = false;
-      ++T.NextWork;
-      continue;
-    }
-    if (St == Vm::Status::Error) {
-      fault(Tid, T.Machine.error());
-      return false;
-    }
-    CCAL_CHECK(St == Vm::Status::AtPrim, "unexpected VM status");
-    const Primitive *P = Cfg->Layer->lookup(T.Machine.primKind());
-    if (!P) {
-      fault(Tid, "call to primitive '" + T.Machine.primName() +
-                     "' not provided by layer " + Cfg->Layer->name());
-      return false;
-    }
-    if (P->Shared) {
-      T.Parked = true;
-      return true;
-    }
-    PrimCall Call;
-    Call.Tid = Tid;
-    Call.Args = T.Machine.primArgs();
-    Call.L = &GlobalLog;
-    Call.LocalMem = &Globals;
-    std::optional<PrimResult> Res = P->Sem(Call);
-    if (!Res) {
-      fault(Tid, "private primitive '" + P->Name + "' got stuck");
-      return false;
-    }
-    CCAL_CHECK(Res->Events.empty(),
-               "private primitives must not emit events");
-    for (auto [Addr, V] : Res->LocalWrites) {
-      CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < Globals.size(),
-                 "primitive local write out of range");
-      Globals[static_cast<size_t>(Addr)] = V;
-    }
-    T.Machine.resumePrim(Res->Ret);
+  std::string Why;
+  switch (T.runSlice(Tid, *Items, CpuMem.at(T.Cpu), *Cfg->Layer, GlobalLog,
+                     Cfg->SliceBudget, Why)) {
+  case SliceEnd::AtShared:
+    T.Parked = true;
+    return true;
+  case SliceEnd::Finished:
+    T.Exited = true;
+    logAppend(GlobalLog, Event(Tid, ThreadExitEventKind));
+    return true;
+  case SliceEnd::Faulted:
+    break;
   }
+  fault(Tid, Why);
+  return false;
 }
 
 bool ThreadedMachine::allIdle() const {
@@ -182,19 +131,9 @@ std::vector<ThreadId> ThreadedMachine::schedulable() const {
     auto It = Threads.find(static_cast<ThreadId>(Cur));
     if (It == Threads.end() || !It->second.Parked || It->second.Exited)
       continue;
-    const Thr &T = It->second;
-    const Primitive *P = Cfg->Layer->lookup(T.Machine.primKind());
-    if (P && P->Shared) {
-      PrimCall Call;
-      Call.Tid = It->first;
-      Call.Args = T.Machine.primArgs();
-      Call.L = &GlobalLog;
-      Call.LocalMem = &CpuMem.at(Cpu);
-      std::optional<PrimResult> Res = P->Sem(Call);
-      if (Res && Res->Blocked)
-        continue;
-    }
-    Out.push_back(It->first);
+    if (!sharedPrimBlocked(*Cfg->Layer, It->first, It->second.Machine,
+                           GlobalLog, CpuMem.at(Cpu)))
+      Out.push_back(It->first);
   }
   return Out;
 }
@@ -211,12 +150,8 @@ bool ThreadedMachine::step(ThreadId Tid) {
   CCAL_CHECK(P && P->Shared, "parked primitive must be shared");
 
   std::vector<std::int64_t> &Globals = CpuMem.at(T.Cpu);
-  PrimCall Call;
-  Call.Tid = Tid;
-  Call.Args = T.Machine.primArgs();
-  Call.L = &GlobalLog;
-  Call.LocalMem = &Globals;
-  std::optional<PrimResult> Res = P->Sem(Call);
+  std::optional<PrimResult> Res =
+      callPrim(*P, Tid, T.Machine, GlobalLog, Globals);
   if (!Res) {
     fault(Tid, "shared primitive '" + P->Name +
                    "' got stuck; log: " + logToString(GlobalLog));
@@ -224,12 +159,8 @@ bool ThreadedMachine::step(ThreadId Tid) {
   }
   CCAL_CHECK(!Res->Blocked, "step: blocked threads are not schedulable");
   logAppendAll(GlobalLog, Res->Events);
-  for (auto [Addr, V] : Res->LocalWrites) {
-    CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < Globals.size(),
-               "primitive local write out of range");
-    Globals[static_cast<size_t>(Addr)] = V;
-  }
   if (P->ExitsThread) {
+    applyLocalWrites(*Res, Globals);
     // The thread never resumes (cswitch-out without return, §5.1); its VM
     // state is abandoned exactly like a kernel context that is never
     // loaded again.
@@ -238,18 +169,10 @@ bool ThreadedMachine::step(ThreadId Tid) {
     T.Exited = true;
     return settle();
   }
-  T.Machine.resumePrim(Res->Ret);
+  returnFromPrim(*Res, T.Machine, Globals);
   T.Parked = false;
   T.NeedsRun = true;
   return settle();
-}
-
-std::map<ThreadId, std::vector<std::int64_t>>
-ThreadedMachine::returns() const {
-  std::map<ThreadId, std::vector<std::int64_t>> Out;
-  for (const auto &[Tid, T] : Threads)
-    Out.emplace(Tid, T.Returns);
-  return Out;
 }
 
 const std::vector<std::int64_t> &
@@ -265,111 +188,14 @@ ExploreResult ccal::exploreThreaded(ThreadedConfigPtr Cfg,
   return exploreGeneric(Root, Opts);
 }
 
-namespace {
-
-ThreadedRefinementReport checkThreadedRefinementImpl(
-    ThreadedConfigPtr Impl, ThreadedConfigPtr Spec, const EventMap &RImpl,
-    const EventMap &RSpec, const ThreadedExploreOptions &ImplOpts,
-    const ThreadedExploreOptions &SpecOpts) {
-  ThreadedRefinementReport Report;
-
-  ExploreResult SpecRes = [&] {
-    obs::Span SpecSpan("refine.spec_explore", "refine");
-    return exploreThreaded(std::move(Spec), SpecOpts);
-  }();
-  if (!SpecRes.Ok) {
-    Report.Counterexample =
-        "specification machine violation: " + SpecRes.Violation;
-    return Report;
-  }
-  // A truncated (e.g. MaxStoredOutcomes-capped) spec outcome set would
-  // turn refining implementation outcomes into false counterexamples;
-  // fail closed before comparing anything.
-  if (!SpecRes.Complete) {
-    Report.Coverage = "spec exploration truncated: " + SpecRes.Truncation;
-    Report.Counterexample =
-        "specification exploration is incomplete (" + SpecRes.Truncation +
-        "): the spec outcome set may be silently capped; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.SpecComplete = true;
-
-  OutcomeSet SpecSet;
-  for (const Outcome &O : SpecRes.Outcomes) {
-    Outcome Key;
-    Key.FinalLog = RSpec.apply(O.FinalLog);
-    Key.Returns = O.Returns;
-    SpecSet.insert(Key);
-  }
-
-  // Stream implementation outcomes through the matcher (memory-bounded).
-  std::uint64_t ImplOutcomes = 0, Obligations = 0;
-  ThreadedExploreOptions ImplStream = ImplOpts;
-  ImplStream.OnOutcome = [&](const Outcome &O) -> std::string {
-    ++ImplOutcomes;
-    Outcome Key;
-    Key.FinalLog = RImpl.apply(O.FinalLog);
-    Key.Returns = O.Returns;
-    if (!SpecSet.contains(Key))
-      return strFormat(
-          "no specification behavior matches implementation outcome\n"
-          "  impl log:   %s\n  mapped (R): %s",
-          logToString(O.FinalLog).c_str(),
-          logToString(Key.FinalLog).c_str());
-    ++Obligations;
-    return "";
-  };
-  ExploreResult ImplRes = [&] {
-    obs::Span ImplSpan("refine.impl_explore", "refine");
-    return exploreThreaded(std::move(Impl), ImplStream);
-  }();
-  Report.ImplOutcomes = ImplOutcomes;
-  Report.SpecOutcomes = SpecRes.Outcomes.size();
-  Report.SchedulesExplored =
-      ImplRes.SchedulesExplored + SpecRes.SchedulesExplored;
-  Report.StatesExplored = ImplRes.StatesExplored + SpecRes.StatesExplored;
-  Report.ObligationsChecked = Obligations;
-  if (!ImplRes.Ok) {
-    Report.Counterexample =
-        "implementation machine violation: " + ImplRes.Violation;
-    return Report;
-  }
-  if (!ImplRes.Complete) {
-    Report.Coverage = "impl exploration truncated: " + ImplRes.Truncation;
-    Report.Counterexample =
-        "implementation exploration is incomplete (" + ImplRes.Truncation +
-        "): only a prefix of the schedule space was matched; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.ImplComplete = true;
-  Report.Coverage = "exhaustive";
-  Report.Holds = true;
-  return Report;
-}
-
-} // namespace
-
-ThreadedRefinementReport ccal::checkThreadedRefinement(
+ContextualRefinementReport ccal::checkThreadedRefinement(
     ThreadedConfigPtr Impl, ThreadedConfigPtr Spec, const EventMap &RImpl,
     const EventMap &RSpec, const ThreadedExploreOptions &ImplOpts,
     const ThreadedExploreOptions &SpecOpts) {
   obs::Span CheckSpan("refine.threaded_check", "refine");
-  ThreadedRefinementReport Report = checkThreadedRefinementImpl(
-      std::move(Impl), std::move(Spec), RImpl, RSpec, ImplOpts, SpecOpts);
-  if (obs::enabled()) {
-    obs::counterAdd("refine.threaded_checks", 1);
-    obs::counterAdd("refine.obligations_discharged",
-                    Report.ObligationsChecked);
-    obs::counterAdd("refine.impl_outcomes", Report.ImplOutcomes);
-    obs::counterAdd("refine.spec_outcomes", Report.SpecOutcomes);
-    if (Report.Holds)
-      obs::counterAdd("refine.holds", 1);
-    if (!Report.SpecComplete || !Report.ImplComplete) {
-      obs::counterAdd("refine.truncated", 1);
-      obs::traceInstant("refine.truncation: " + Report.Coverage, "refine");
-    }
-  }
+  ContextualRefinementReport Report = checkRefinement(
+      ThreadedMachine(std::move(Impl)), ThreadedMachine(std::move(Spec)),
+      &RImpl, &RSpec, ImplOpts, SpecOpts, ThreadedRefinementWording);
+  detail::publishRefinementMetrics(Report, "refine.threaded_checks");
   return Report;
 }

@@ -46,16 +46,19 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 namespace ccal {
@@ -238,23 +241,37 @@ struct ExploreResult {
   std::vector<Log> Corpus;
 };
 
-/// Sound outcome set with structural comparison.  An earlier version
-/// hashed returns and thread ids by chain-multiplying with no field
-/// separators, so e.g. returns {1:[], 2:[]} and {1:[2]} hashed equal over
-/// the same log and one outcome was silently dropped — an unsoundness in
-/// every checker built on the Explorer.  This version mixes each field
-/// through hashMix64 with length prefixes, and resolves residual 64-bit
-/// collisions by structural comparison instead of merging.  It is also
-/// the outcome-matching structure of the refinement checkers, replacing
-/// their former string keys (log text joined with separators that can
-/// occur in the data — ambiguous, and O(log length) per comparison even
-/// on hash-distinguishable outcomes).
+/// Sound outcome set over flat keys.  An earlier version hashed returns
+/// and thread ids by chain-multiplying with no field separators, so e.g.
+/// returns {1:[], 2:[]} and {1:[2]} hashed equal over the same log and one
+/// outcome was silently dropped — an unsoundness in every checker built on
+/// the Explorer.  The hash now mixes each field through hashMix64 with
+/// length prefixes, and residual 64-bit collisions never merge: they
+/// resolve by comparing keys.  This is also the outcome-matching structure
+/// of the refinement checkers.
+///
+/// Each distinct outcome is stored as one flat byte key (encode), not as a
+/// copy of the Outcome: the log length, then per event its tid, kind id,
+/// arg count and args; then the participant count, then per participant
+/// its tid, return count and values — every number a self-delimiting
+/// varint.  The encoding is injective (length-prefixed throughout), so
+/// equal keys mean equal outcomes and the structural comparison is a
+/// memcmp.  Keys live in one byte arena the set owns, indexed by an
+/// open-addressing table of (hash, offset, length) slots: a set of any
+/// size is freed with two deallocations, where a set of Outcome copies
+/// freed every chunked log, heap Args vector and returns map one by one.
+///
+/// Keys carry KindId::id(), which depends on interning order: a key means
+/// something only inside the process that built it.  Never persist one,
+/// send one elsewhere, or let its bytes order anything observable.
 class OutcomeSet {
 public:
-  static std::uint64_t hash(const Outcome &O) {
-    std::uint64_t H = hashLog(O.FinalLog);
-    H = hashCombine(H, O.Returns.size());
-    for (const auto &[Tid, Rets] : O.Returns) {
+  using ReturnMap = decltype(Outcome::Returns);
+
+  static std::uint64_t hash(const Log &L, const ReturnMap &Returns) {
+    std::uint64_t H = hashLog(L);
+    H = hashCombine(H, Returns.size());
+    for (const auto &[Tid, Rets] : Returns) {
       H = hashCombine(H, Tid);
       H = hashCombine(H, Rets.size());
       for (std::int64_t R : Rets)
@@ -262,37 +279,149 @@ public:
     }
     return H;
   }
+  static std::uint64_t hash(const Outcome &O) {
+    return hash(O.FinalLog, O.Returns);
+  }
 
-  static bool same(const Outcome &A, const Outcome &B) {
-    return A.FinalLog == B.FinalLog && A.Returns == B.Returns;
+  /// Replaces \p Key with the flat key of the outcome (\p L, \p Returns).
+  static void encode(const Log &L, const ReturnMap &Returns,
+                     std::string &Key) {
+    KeyWriter W(Key);
+    W.reserve(1);
+    W.u(L.size());
+    for (const Event &E : L) {
+      W.reserve(3 + E.Args.size());
+      W.u(E.Tid);
+      W.u(E.Kind.id());
+      W.u(E.Args.size());
+      for (std::int64_t A : E.Args)
+        W.s(A);
+    }
+    W.reserve(1);
+    W.u(Returns.size());
+    for (const auto &[Tid, Rets] : Returns) {
+      W.reserve(2 + Rets.size());
+      W.u(Tid);
+      W.u(Rets.size());
+      for (std::int64_t R : Rets)
+        W.s(R);
+    }
+    W.finish();
   }
 
   /// True when \p O was not seen before.
   bool insert(const Outcome &O) {
-    std::vector<Outcome> &Bucket = Seen[hash(O)];
-    for (const Outcome &Prev : Bucket)
-      if (same(Prev, O))
-        return false;
-    Bucket.push_back(O);
+    std::string &Key = keyBuffer();
+    encode(O.FinalLog, O.Returns, Key);
+    return insert(hash(O), Key);
+  }
+
+  /// insert for a key built by encode, with \p H = hash of its outcome.
+  bool insert(std::uint64_t H, std::string_view Key) {
+    if ((Count + 1) * 2 > Slots.size())
+      grow();
+    Slot &S = Slots[probe(H, Key)];
+    if (S.Len != 0)
+      return false;
+    S = Slot{H, Arena.size(), static_cast<std::uint32_t>(Key.size())};
+    Arena.append(Key);
     ++Count;
     return true;
   }
 
-  /// True when \p O is in the set.
+  /// True when the outcome (\p L, \p Returns) is in the set.
+  bool contains(const Log &L, const ReturnMap &Returns) const {
+    std::string &Key = keyBuffer();
+    encode(L, Returns, Key);
+    return contains(hash(L, Returns), Key);
+  }
   bool contains(const Outcome &O) const {
-    auto It = Seen.find(hash(O));
-    if (It == Seen.end())
-      return false;
-    for (const Outcome &Prev : It->second)
-      if (same(Prev, O))
-        return true;
-    return false;
+    return contains(O.FinalLog, O.Returns);
+  }
+
+  /// contains for a key built by encode, with \p H = hash of its outcome.
+  bool contains(std::uint64_t H, std::string_view Key) const {
+    return !Slots.empty() && Slots[probe(H, Key)].Len != 0;
   }
 
   size_t size() const { return Count; }
 
 private:
-  std::unordered_map<std::uint64_t, std::vector<Outcome>> Seen;
+  /// One table entry; Len == 0 marks an empty slot (every key holds at
+  /// least the two count prefixes).
+  struct Slot {
+    std::uint64_t Hash = 0;
+    std::uint64_t Off = 0;
+    std::uint32_t Len = 0;
+  };
+
+  /// Appends varints to a key buffer through a raw cursor; reserve(N)
+  /// makes room for N more numbers of at most ten bytes each.
+  class KeyWriter {
+  public:
+    explicit KeyWriter(std::string &Key) : Key(Key) {}
+    void reserve(size_t N) {
+      if (Key.size() - Pos < N * 10)
+        Key.resize(std::max(Key.size() * 2, Pos + N * 10));
+    }
+    void u(std::uint64_t V) {
+      char *P = Key.data() + Pos;
+      while (V >= 0x80) {
+        *P++ = static_cast<char>(V | 0x80);
+        V >>= 7;
+      }
+      *P++ = static_cast<char>(V);
+      Pos = static_cast<size_t>(P - Key.data());
+    }
+    /// Signed values zig-zag first, so small negatives stay short.
+    void s(std::int64_t V) {
+      u((static_cast<std::uint64_t>(V) << 1) ^
+        static_cast<std::uint64_t>(V >> 63));
+    }
+    void finish() { Key.resize(Pos); }
+
+  private:
+    std::string &Key;
+    size_t Pos = 0;
+  };
+
+  /// Encoding buffer of the Outcome-taking insert/contains, reused per
+  /// thread so a probe allocates nothing once warm.
+  static std::string &keyBuffer() {
+    thread_local std::string Key;
+    return Key;
+  }
+
+  /// Index of \p Key's slot, or of the empty slot where it would go.
+  size_t probe(std::uint64_t H, std::string_view Key) const {
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+      const Slot &S = Slots[I];
+      if (S.Len == 0 ||
+          (S.Hash == H && S.Len == Key.size() &&
+           std::memcmp(Arena.data() + S.Off, Key.data(), S.Len) == 0))
+        return I;
+    }
+  }
+
+  /// Doubles the table (load factor stays at most one half) and reinserts
+  /// by stored hash; the arena is untouched.
+  void grow() {
+    std::vector<Slot> Old(std::max<size_t>(16, Slots.size() * 2));
+    Old.swap(Slots);
+    const size_t Mask = Slots.size() - 1;
+    for (const Slot &S : Old) {
+      if (S.Len == 0)
+        continue;
+      size_t I = S.Hash & Mask;
+      while (Slots[I].Len != 0)
+        I = (I + 1) & Mask;
+      Slots[I] = S;
+    }
+  }
+
+  std::vector<Slot> Slots; ///< power-of-two size, or empty
+  std::string Arena;       ///< every key, back to back
   size_t Count = 0;
 };
 
@@ -470,7 +599,18 @@ private:
     std::vector<Outcome> Outcomes; ///< stored-path results, search order
     std::vector<Log> Corpus;       ///< terminal + sampled logs
     bool StoreTruncated = false;   ///< hit MaxStoredOutcomes locally
+    std::string Key;               ///< flat key of the outcome being recorded
   };
+
+  /// One lock stripe of the OnOutcome path's global dedup: outcomes are
+  /// spread over the stripes by hash, so workers recording different
+  /// outcomes rarely wait on each other.  Aligned so two stripes' locks
+  /// never share a cache line.
+  struct alignas(64) DedupStripe {
+    std::mutex Mu;
+    OutcomeSet Seen; ///< guarded by Mu
+  };
+  static constexpr unsigned StripeBits = 6;
 
   void worker(unsigned Idx) {
     Shard &S = Shards[Idx];
@@ -888,34 +1028,49 @@ private:
   }
 
   void recordOutcome(const MachineT &M, Shard &S) {
-    Outcome O;
-    O.FinalLog = M.log();
-    O.Returns = M.returns();
+    Log Canon;
+    const Log *Final = &M.log();
     if constexpr (MachineHasFootprint<MachineT>::value) {
       // Under POR raw final logs are in bijection with schedules, so the
       // reduction must deduplicate canonical trace forms instead (see
       // GenericExploreOptions::Por).
-      if (PorOn)
-        O.FinalLog = canonicalizeLog(O.FinalLog, [&M](KindId Kind) {
+      if (PorOn) {
+        Canon = canonicalizeLog(M.log(), [&M](KindId Kind) {
           return M.eventFootprint(Event(0, Kind));
         });
+        Final = &Canon;
+      }
     }
+    OutcomeSet::ReturnMap Rets = M.returns();
+    // Hash and key are built here, outside every lock; an Outcome is
+    // materialized only for an outcome not seen before.
+    const std::uint64_t H = OutcomeSet::hash(*Final, Rets);
+    OutcomeSet::encode(*Final, Rets, S.Key);
+    auto Take = [&] {
+      return Outcome{Final == &Canon ? std::move(Canon) : Log(M.log()),
+                     std::move(Rets)};
+    };
     if (Opts.OnOutcome) {
-      // Callback path: the dedup set must stay global — the callback fires
-      // exactly once per DISTINCT outcome and checkers count those calls —
-      // so it remains serialized under ResMu, which also means callbacks
-      // need no locking of their own.
+      // Callback path: the dedup must stay global — the callback fires
+      // exactly once per DISTINCT outcome and checkers count those calls.
+      // Only the insert holds a lock, one stripe's; ResMu then serializes
+      // the callback itself, so callbacks need no locking of their own.
+      DedupStripe &St = Stripes[H >> (64 - StripeBits)];
+      {
+        std::lock_guard<std::mutex> L(St.Mu);
+        if (!St.Seen.insert(H, S.Key))
+          return;
+      }
+      const Outcome O = Take();
+      // The corpus retains only deduplicated outcomes: pushing before
+      // the dedup test (as an earlier version did) stored one copy of a
+      // terminal log PER SCHEDULE reaching it, crowding the capped
+      // buffer with duplicates.
+      if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus)
+        S.Corpus.push_back(O.FinalLog);
       bool DoStop = false;
       {
         std::lock_guard<std::mutex> L(ResMu);
-        if (!Dedup.insert(O))
-          return;
-        // The corpus retains only deduplicated outcomes: pushing before
-        // the dedup test (as an earlier version did) stored one copy of a
-        // terminal log PER SCHEDULE reaching it, crowding the capped
-        // buffer with duplicates.
-        if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus)
-          S.Corpus.push_back(O.FinalLog);
         std::string V = Opts.OnOutcome(O);
         if (!V.empty()) {
           if (!Violated) {
@@ -931,12 +1086,12 @@ private:
     }
     // Stored path: everything is worker-local, so recording an outcome
     // takes no lock; cross-worker duplicates collapse at the join.
-    if (!S.Dedup.insert(O))
+    if (!S.Dedup.insert(H, S.Key))
       return;
     if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus)
-      S.Corpus.push_back(O.FinalLog);
+      S.Corpus.push_back(*Final);
     if (S.Outcomes.size() < Opts.MaxStoredOutcomes)
-      S.Outcomes.push_back(std::move(O));
+      S.Outcomes.push_back(Take());
     else
       S.StoreTruncated = true; // reported as truncation at the join
   }
@@ -945,11 +1100,15 @@ private:
   /// order.  Outcomes flow through a fresh dedup set (each worker
   /// deduplicated only its own stream); the corpus concatenates up to its
   /// cap; any shard-local truncation fails the run closed.  With one
-  /// worker this moves the single shard's vectors unchanged, so
-  /// sequential runs are bit-identical to the former global recording.
+  /// worker this moves the single shard's vectors unchanged (its outcomes
+  /// are already distinct and capped), so sequential runs are
+  /// bit-identical to the former global recording.
   void mergeShardResults(ExploreResult &Res) {
     bool Truncated = false;
-    if (!Opts.OnOutcome) {
+    if (!Opts.OnOutcome && Shards.size() == 1) {
+      Truncated = Shards[0].StoreTruncated;
+      Res.Outcomes = std::move(Shards[0].Outcomes);
+    } else if (!Opts.OnOutcome) {
       OutcomeSet Merged;
       for (Shard &S : Shards) {
         Truncated |= S.StoreTruncated;
@@ -1091,15 +1250,15 @@ private:
   std::atomic<bool> Stop{false};
   std::atomic<std::uint64_t> Schedules{0};
 
-  // Shared result slots (first violation wins).  Outcome/corpus storage
-  // lives in the per-worker Shards; only the OnOutcome callback path
-  // still deduplicates globally here.
+  // Shared result slots (first violation wins); ResMu also serializes
+  // OnOutcome calls.  Outcome/corpus storage lives in the per-worker
+  // Shards; only the OnOutcome path deduplicates globally, in Stripes.
   std::mutex ResMu;
   bool Violated = false;  ///< guarded by ResMu
   std::string Violation;  ///< guarded by ResMu
   bool Complete = true;   ///< guarded by ResMu
   std::string Truncation; ///< guarded by ResMu
-  OutcomeSet Dedup;       ///< guarded by ResMu (OnOutcome path only)
+  std::array<DedupStripe, 1u << StripeBits> Stripes;
 
   std::vector<Shard> Shards;
 };

@@ -158,7 +158,7 @@ checkRefinement(const ImplM &ImplRoot, const SpecM &SpecRoot,
     ++ImplOutcomes;
     const bool Match =
         RImpl || Canon
-            ? SpecSet.contains(Outcome{KeyLog(O.FinalLog, RImpl), O.Returns})
+            ? SpecSet.contains(KeyLog(O.FinalLog, RImpl), O.Returns)
             : SpecSet.contains(O);
     if (!Match)
       return W.Mismatch(O.FinalLog,

@@ -21,13 +21,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace ccal;
@@ -149,17 +150,34 @@ std::string mutate(const std::string &In, Rng &R) {
   return M;
 }
 
+/// The offset of a parse error shaped "offset <digits>: <message>", with
+/// a non-empty one-line message; false for any other shape.
+bool errorOffset(const std::string &Error, std::uint64_t &Offset) {
+  const std::string_view Prefix = "offset ";
+  if (Error.compare(0, Prefix.size(), Prefix) != 0)
+    return false;
+  const size_t Digits = Prefix.size();
+  size_t I = Digits;
+  while (I < Error.size() && Error[I] >= '0' && Error[I] <= '9')
+    ++I;
+  if (I == Digits || Error.compare(I, 2, ": ") != 0)
+    return false;
+  const std::string_view Message = std::string_view(Error).substr(I + 2);
+  if (Message.empty() || Message.find_first_of("\r\n") != Message.npos)
+    return false;
+  Offset = std::stoull(Error.substr(Digits, I - Digits));
+  return true;
+}
+
 /// Empty when \p M behaves: the parse either fails at an offset inside the
 /// input or reaches a fixed point, and \p Store serves \p M under \p Key
 /// only if it renders back to exactly \p M.
 std::string mutantViolation(const std::string &M, cert::CertStore &Store,
                             const cert::CertKey &Key) {
-  static const std::regex OffsetError("^offset ([0-9]+): .+");
   JsonParseResult P = parseJson(M);
   if (!P.Ok) {
-    std::smatch Match;
-    if (!std::regex_match(P.Error, Match, OffsetError) ||
-        std::stoull(Match[1]) > M.size())
+    std::uint64_t Offset = 0;
+    if (!errorOffset(P.Error, Offset) || Offset > M.size())
       return "error without an in-range offset: " + P.Error;
   } else {
     const std::string Once = jsonToString(P.Value);

@@ -16,6 +16,7 @@
 #include "compcertx/Linker.h"
 #include "lang/Parser.h"
 #include "lang/TypeCheck.h"
+#include "machine/CpuLocal.h"
 #include "objects/TicketLock.h"
 
 #include <gtest/gtest.h>
@@ -49,6 +50,42 @@ MachineConfigPtr makeSpecConfig(unsigned Cpus, unsigned Rounds) {
       Items.push_back({"t_main", {}});
     Cfg->Work.emplace(C, std::move(Items));
   }
+  return Cfg;
+}
+
+/// Three CPUs, each `quiet(); quiet(); return tick();`.  quiet is a
+/// shared primitive that logs nothing, so schedules that differ only in
+/// where the quiet steps fall reach the same outcome: over a thousand
+/// schedules, six distinct outcomes (one per tick order).  Footprints are
+/// declared (quiet touches nothing), so Por applies.
+MachineConfigPtr makeQuietTickConfig() {
+  static ClightModule Client = [] {
+    ClightModule M = parseModuleOrDie("q", R"(
+      extern int quiet();
+      extern int tick();
+      int t_main() {
+        quiet();
+        quiet();
+        return tick();
+      }
+    )");
+    typeCheckOrDie(M);
+    return M;
+  }();
+  static AsmProgramPtr Prog = compileAndLink("quiet_tick.lasm", {&Client});
+  auto L = makeInterface("Lquiet");
+  L->addShared("quiet",
+               [](const PrimCall &) -> std::optional<PrimResult> {
+                 return PrimResult();
+               },
+               Footprint::of({}, {}));
+  L->addShared("tick", makeFetchIncPrim("tick"), Footprint::of({"c"}, {"c"}));
+  auto Cfg = std::make_shared<MachineConfig>();
+  Cfg->Name = "quiet_tick";
+  Cfg->Layer = L;
+  Cfg->Program = Prog;
+  for (ThreadId C = 1; C <= 3; ++C)
+    Cfg->Work.emplace(C, std::vector<CpuWorkItem>{{"t_main", {}}});
   return Cfg;
 }
 
@@ -159,32 +196,69 @@ TEST(DeterminismTest, SequentialRunsAreBitIdentical) {
 }
 
 TEST(DeterminismTest, OnOutcomeCallbackFiresOncePerDistinctOutcome) {
-  // The callback path keeps the global deduper under ResMu precisely so
-  // this invariant (checkers count calls) survives sharding: the number
-  // of callback invocations equals the number of distinct outcomes, at
-  // every worker count.
-  std::uint64_t Distinct;
-  {
-    ExploreOptions Opts;
-    Opts.FairnessBound = 2;
-    Opts.MaxSteps = 512;
-    ExploreResult Res = exploreMachine(makeSpecConfig(3, 1), Opts);
-    ASSERT_TRUE(Res.Ok) << Res.Violation;
-    Distinct = Res.Outcomes.size();
-    ASSERT_GT(Distinct, 1u);
-  }
-  for (unsigned Threads : {1u, 4u}) {
-    ExploreOptions Opts;
-    Opts.FairnessBound = 2;
-    Opts.MaxSteps = 512;
-    Opts.Threads = Threads;
-    std::atomic<std::uint64_t> Calls{0};
-    Opts.OnOutcome = [&Calls](const Outcome &) -> std::string {
-      Calls.fetch_add(1, std::memory_order_relaxed);
-      return "";
-    };
-    ExploreResult Res = exploreMachine(makeSpecConfig(3, 1), Opts);
-    ASSERT_TRUE(Res.Ok) << Res.Violation;
-    EXPECT_EQ(Calls.load(), Distinct) << Threads;
+  // The callback path keeps one global deduper (lock-striped by outcome
+  // hash) precisely so this invariant (checkers count calls) survives
+  // sharding: the callback fires once per distinct outcome, at every
+  // worker count, and never concurrently — the Explorer serializes the
+  // calls, so the callback below uses no lock and no atomic of its own.
+  // The quiet-tick machine reaches each outcome through many schedules,
+  // so at Threads=4 duplicates race into the dedup from several workers.
+  struct Case {
+    const char *Name;
+    MachineConfigPtr Cfg;
+    bool Por;
+    bool Collapses; ///< fewer distinct outcomes than explored schedules
+  };
+  for (const Case &C :
+       {Case{"ticket spec", makeSpecConfig(3, 1), false, false},
+        Case{"quiet tick", makeQuietTickConfig(), false, true},
+        Case{"quiet tick, Por", makeQuietTickConfig(), true, false}}) {
+    SCOPED_TRACE(C.Name);
+    ExploreOptions Base;
+    Base.FairnessBound = C.Por ? ~0u : 2;
+    Base.MaxSteps = 512;
+    Base.Por = C.Por;
+    ExploreResult Stored = exploreMachine(C.Cfg, Base);
+    ASSERT_TRUE(Stored.Ok) << Stored.Violation;
+    ASSERT_TRUE(Stored.Complete);
+    const std::multiset<std::string> Distinct = outcomeSet(Stored);
+    ASSERT_GT(Distinct.size(), 1u);
+    if (C.Collapses) {
+      ASSERT_LT(Distinct.size(), Stored.SchedulesExplored);
+    }
+    if (C.Por) {
+      // Canonical logs stand for many schedules of the full space; the
+      // callback must see each canonical outcome once.
+      ASSERT_TRUE(Stored.PorApplied);
+      PorEquivalenceReport R = checkPorEquivalence(C.Cfg, Base);
+      ASSERT_TRUE(R.Ok) << R.Detail;
+      ASSERT_TRUE(R.Match) << R.Detail;
+      ASSERT_EQ(R.FullOutcomes, Distinct.size());
+      ASSERT_LT(R.FullOutcomes, R.FullSchedules);
+    }
+    std::multiset<std::string> AtOne;
+    for (unsigned Threads : {1u, 4u}) {
+      ExploreOptions Opts = Base;
+      Opts.Threads = Threads;
+      bool Inside = false, Overlapped = false;
+      std::multiset<std::string> Seen;
+      Opts.OnOutcome = [&](const Outcome &O) -> std::string {
+        if (Inside)
+          Overlapped = true;
+        Inside = true;
+        Seen.insert(outcomeKey(O));
+        Inside = false;
+        return "";
+      };
+      ExploreResult Res = exploreMachine(C.Cfg, Opts);
+      ASSERT_TRUE(Res.Ok) << Res.Violation;
+      EXPECT_TRUE(Res.Complete);
+      EXPECT_FALSE(Overlapped) << "Threads=" << Threads;
+      EXPECT_EQ(Seen, Distinct) << "Threads=" << Threads;
+      if (Threads == 1)
+        AtOne = Seen;
+      else
+        EXPECT_EQ(Seen, AtOne) << "Threads=" << Threads;
+    }
   }
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -211,6 +212,98 @@ TEST(ExplorerTest, OutcomeDedupRetainsCollidingOutcomes) {
   // Genuine duplicates are still deduplicated.
   EXPECT_FALSE(Dedup.insert(A));
   EXPECT_FALSE(Dedup.insert(B));
+}
+
+namespace {
+
+Outcome outcomeOf(Log L, std::map<ThreadId, std::vector<std::int64_t>> R) {
+  return Outcome{std::move(L), std::move(R)};
+}
+
+/// A and B must stay two outcomes: apart by hash and, with the hash forced
+/// equal, apart by key.  Duplicates collapse, and contains agrees with
+/// insert throughout.
+void expectDistinct(const Outcome &A, const Outcome &B) {
+  OutcomeSet Set;
+  EXPECT_FALSE(Set.contains(A));
+  EXPECT_TRUE(Set.insert(A));
+  EXPECT_TRUE(Set.contains(A));
+  EXPECT_FALSE(Set.contains(B));
+  EXPECT_TRUE(Set.insert(B));
+  EXPECT_TRUE(Set.contains(B));
+  EXPECT_FALSE(Set.insert(A));
+  EXPECT_FALSE(Set.insert(B));
+  EXPECT_EQ(Set.size(), 2u);
+
+  std::string KeyA, KeyB;
+  OutcomeSet::encode(A.FinalLog, A.Returns, KeyA);
+  OutcomeSet::encode(B.FinalLog, B.Returns, KeyB);
+  EXPECT_NE(KeyA, KeyB);
+  OutcomeSet Forced;
+  EXPECT_TRUE(Forced.insert(7, KeyA));
+  EXPECT_FALSE(Forced.contains(7, KeyB));
+  EXPECT_TRUE(Forced.insert(7, KeyB));
+  EXPECT_TRUE(Forced.contains(7, KeyA));
+  EXPECT_FALSE(Forced.insert(7, KeyA));
+  EXPECT_FALSE(Forced.insert(7, KeyB));
+  EXPECT_EQ(Forced.size(), 2u);
+}
+
+} // namespace
+
+TEST(ExplorerTest, OutcomeKeysAreInjective) {
+  {
+    SCOPED_TRACE("an arg moved between adjacent events");
+    expectDistinct(outcomeOf({Event(1, "a", {2}), Event(1, "b")}, {}),
+                   outcomeOf({Event(1, "a"), Event(1, "b", {2})}, {}));
+  }
+  {
+    SCOPED_TRACE("tid and kind id swapped");
+    KindId X("key_kind_x"), Y("key_kind_y");
+    ASSERT_NE(X.id(), Y.id());
+    expectDistinct(outcomeOf({Event(X.id(), Y)}, {}),
+                   outcomeOf({Event(Y.id(), X)}, {}));
+  }
+  {
+    SCOPED_TRACE("empty log vs one arg-less event");
+    expectDistinct(outcomeOf({}, {}), outcomeOf({Event(0, KindId())}, {}));
+  }
+  {
+    SCOPED_TRACE("same return values under different tids");
+    expectDistinct(outcomeOf({}, {{1, {5}}}), outcomeOf({}, {{2, {5}}}));
+  }
+  {
+    SCOPED_TRACE("returns {1:[2,3]} vs {1:[2],3:[]}");
+    expectDistinct(outcomeOf({}, {{1, {2, 3}}}),
+                   outcomeOf({}, {{1, {2}}, {3, {}}}));
+  }
+  {
+    SCOPED_TRACE("negative and wide values");
+    expectDistinct(outcomeOf({Event(1, "a", {-1})}, {{1, {INT64_MIN}}}),
+                   outcomeOf({Event(1, "a", {1})}, {{1, {INT64_MAX}}}));
+  }
+}
+
+TEST(ExplorerTest, OutcomeSetCollapsesEqualOutcomesAcrossGrowth) {
+  // Thousands of distinct outcomes force the table through several
+  // doublings; every one stays findable, and an equal outcome built
+  // separately (a 40-event log spans sealed chunks and a tail) collapses.
+  OutcomeSet Set;
+  Log Long;
+  for (std::int64_t I = 0; I != 40; ++I)
+    Long.push_back(Event(static_cast<ThreadId>(I % 3), "tick", {I}));
+  for (std::int64_t I = 0; I != 5000; ++I)
+    EXPECT_TRUE(Set.insert(outcomeOf(Long, {{1, {I}}}))) << I;
+  EXPECT_EQ(Set.size(), 5000u);
+  Log Rebuilt;
+  for (const Event &E : Long)
+    Rebuilt.push_back(E);
+  for (std::int64_t I = 0; I != 5000; ++I) {
+    EXPECT_TRUE(Set.contains(outcomeOf(Rebuilt, {{1, {I}}}))) << I;
+    EXPECT_FALSE(Set.insert(outcomeOf(Rebuilt, {{1, {I}}}))) << I;
+  }
+  EXPECT_FALSE(Set.contains(outcomeOf(Rebuilt, {{1, {5000}}})));
+  EXPECT_EQ(Set.size(), 5000u);
 }
 
 TEST(ExplorerTest, ParallelExplorationMatchesSequential) {
